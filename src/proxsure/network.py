@@ -241,6 +241,12 @@ def load_stack(path) -> ProximalStack:
     off = len(MAGIC)
     mode_u, sym_u, T, K = struct.unpack_from("<4I", blob, off)
     off += 16
+    if mode_u not in (0, 1):
+        raise DatasetHeaderError(f"weight container mode word must be 0 or 1, got {mode_u}")
+    if sym_u not in (0, 1):
+        raise DatasetHeaderError(f"weight container symmetric flag must be 0 or 1, got {sym_u}")
+    if T < 1 or K < 1:
+        raise DatasetHeaderError(f"weight container needs T >= 1 and K >= 1, got T={T}, K={K}")
     shapes = []
     for _ in range(K):
         if off + 8 > len(blob):
@@ -248,9 +254,13 @@ def load_stack(path) -> ProximalStack:
         l_k, n_k = struct.unpack_from("<2I", blob, off)
         off += 8
         shapes.append((l_k, n_k))
+    n = shapes[0][1]
+    if n < 1 or any(n_k != n for _, n_k in shapes):
+        raise DatasetHeaderError(
+            f"weight container layers must share one n >= 1, got {[n_k for _, n_k in shapes]}"
+        )
     mode = "ws" if mode_u == 0 else "wc"
     symmetric = bool(sym_u)
-    n = shapes[0][1]
     reps = 1 if mode == "ws" else T
     its = []
     for _ in range(reps):

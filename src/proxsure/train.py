@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NonFiniteError, TrainingFailureError
-from .network import ProximalStack
+from .network import ProximalStack, random_stack
 from .operators import SensingOperator, StepParams, apply_operator, step_matrices
 
 # dense grid for full-scale experiments; the default keeps desk runs fast
@@ -50,7 +50,7 @@ def stack_with_weights(stack: ProximalStack, arrays) -> ProximalStack:
     return replace(stack, weights=tuple(its))
 
 
-def _forward_cached(stack, Y, op, step, G_x, G_y):
+def _forward_cached(stack, Y, op, G_x, G_y):
     """Batched forward keeping what the backward pass needs."""
     x = apply_operator(op, Y, "adjoint")
     cache = []
@@ -77,56 +77,53 @@ def loss_and_gradients(
     y,
     op: SensingOperator,
     step: StepParams,
+    matrices=None,
 ):
     """Mean squared batch loss and gradients for every stored weight.
 
     x_true is (B, n), y is (B, m). Returns (loss, grads) with grads in
-    flatten_weights order.
+    flatten_weights order. matrices, when given, is the pair (G_x, G_y)
+    that step_matrices(op, step) returns; a caller that takes many steps
+    with one operator and step computes it once and passes it here.
     """
     X = np.atleast_2d(np.asarray(x_true, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if X.shape[0] != Y.shape[0] or X.shape[0] == 0:
         raise ValueError("batch of (x, y) pairs must be nonempty and aligned")
     B = X.shape[0]
-    G_x, G_y = step_matrices(op, step)
-    xhat, cache = _forward_cached(stack, Y, op, step, G_x, G_y)
+    G_x, G_y = step_matrices(op, step) if matrices is None else matrices
+    xhat, cache = _forward_cached(stack, Y, op, G_x, G_y)
     diff = xhat - X
     loss = float(np.sum(diff**2) / B)
     if not np.isfinite(loss):
         bad = int(np.flatnonzero(~np.isfinite(np.sum(diff**2, axis=1)))[0])
         raise NonFiniteError(f"non-finite loss at batch sample {bad}")
 
-    grads = {}  # (iteration set index, layer, slot) -> array
+    # grads[i] accumulates flatten_weights(stack)[i]: weight set wi, layer
+    # k and slot (0 = W, 1 = Wbar) sit at (wi * K + k) * slots + slot
+    slots = 1 if stack.symmetric else 2
+    K = stack.K
+    grads = [0.0] * (len(stack.weights) * K * slots)
     g = 2.0 * diff / B
     for t in reversed(range(stack.T)):
         wi = 0 if stack.mode == "ws" else t
         layers = stack.layer_weights(t)
-        for k in reversed(range(len(layers))):
+        for k in reversed(range(K)):
             W, Wbar = layers[k]
             h_in, z, D = cache[t][k]
             a = D * z
+            i = (wi * K + k) * slots
             if Wbar is None:
                 dz = D * (-(g @ W.T))
-                gW = -(a.T @ g) + dz.T @ h_in
+                grads[i] = grads[i] + (-(a.T @ g) + dz.T @ h_in)
                 g = g + dz @ W
-                key = (wi, k, 0)
-                grads[key] = grads.get(key, 0.0) + gW
             else:
                 dz = D * (g @ W.T)
-                gW = a.T @ g
-                gWbar = dz.T @ h_in
+                grads[i] = grads[i] + a.T @ g
+                grads[i + 1] = grads[i + 1] + dz.T @ h_in
                 g = g + dz @ Wbar
-                for slot, val in ((0, gW), (1, gWbar)):
-                    key = (wi, k, slot)
-                    grads[key] = grads.get(key, 0.0) + val
         g = g @ G_x
-    flat = []
-    for wi in range(len(stack.weights)):
-        for k, (_, Wbar) in enumerate(stack.weights[wi]):
-            flat.append(grads[(wi, k, 0)])
-            if Wbar is not None:
-                flat.append(grads[(wi, k, 1)])
-    return loss, flat
+    return loss, grads
 
 
 @dataclass
@@ -191,18 +188,19 @@ class TrainRunResult:
     diverged_lrs: list[float] = field(default_factory=list)
 
 
-def _init_stack(n, hidden, T, mode, symmetric, rng) -> ProximalStack:
-    std = 1.0 / np.sqrt(n)
-    reps = 1 if mode == "ws" else T
-    its = []
-    for _ in range(reps):
-        layers = []
-        for width in hidden:
-            W = std * rng.standard_normal((width, n))
-            Wbar = None if symmetric else std * rng.standard_normal((width, n))
-            layers.append((W, Wbar))
-        its.append(tuple(layers))
-    return ProximalStack(n=n, T=T, mode=mode, symmetric=symmetric, weights=tuple(its))
+def _flat_stack(stack: ProximalStack):
+    """One contiguous copy of the weights and a stack that views into it.
+
+    Returns (buffer, stack); the stack's arrays are views into buffer in
+    flatten_weights order, so writing buffer updates the stack in place.
+    """
+    weights = flatten_weights(stack)
+    buffer = np.concatenate([w.ravel() for w in weights])
+    views, off = [], 0
+    for w in weights:
+        views.append(buffer[off : off + w.size].reshape(w.shape))
+        off += w.size
+    return buffer, stack_with_weights(stack, views)
 
 
 def train(
@@ -233,7 +231,7 @@ def train(
         raise ValueError("empty training set")
     n = x_train.shape[1]
     N = len(x_train)
-    G_x, G_y = step_matrices(op, step)
+    matrices = step_matrices(op, step)
 
     best = None
     diverged = []
@@ -241,9 +239,10 @@ def train(
     for li, lr in enumerate(lr_grid):
         init_rng = np.random.default_rng([seed, li, 2])
         order_rng = np.random.default_rng([seed, li, 3])
-        stack = _init_stack(n, hidden, T, mode, symmetric, init_rng)
-        weights = flatten_weights(stack)
-        state = OptimizerState.for_weights(weights, lr)
+        buffer, stack = _flat_stack(
+            random_stack(n, hidden, T, mode, symmetric, seed=init_rng)
+        )
+        state = OptimizerState.for_weights([buffer], lr)
         loss_hist, mse_hist = [], []
         steps_done = 0
         failed = False
@@ -257,15 +256,16 @@ def train(
                 if max_steps is not None and steps_done >= max_steps:
                     break
                 idx = order[start : start + batch]
-                stack = stack_with_weights(stack, weights)
                 try:
                     loss, grads = loss_and_gradients(
-                        stack, x_train[idx], y_train[idx], op, step
+                        stack, x_train[idx], y_train[idx], op, step, matrices
                     )
                 except NonFiniteError:
                     failed = True
                     break
-                weights, state = adam_step(state, weights, grads)
+                flat_grad = np.concatenate([g.ravel() for g in grads])
+                new, state = adam_step(state, [buffer], [flat_grad])
+                buffer[:] = new[0]
                 epoch_loss += loss * len(idx)
                 seen += len(idx)
                 steps_done += 1
@@ -273,8 +273,7 @@ def train(
                 break
             if seen == 0:
                 break
-            stack = stack_with_weights(stack, weights)
-            xhat, _ = _forward_cached(stack, y_test, op, step, G_x, G_y)
+            xhat, _ = _forward_cached(stack, y_test, op, *matrices)
             loss_hist.append(epoch_loss / seen)
             mse_hist.append(float(np.mean((xhat - x_test) ** 2)))
             if max_steps is not None and steps_done >= max_steps:
@@ -287,7 +286,7 @@ def train(
             best = (
                 mse_hist[-1],
                 TrainRunResult(
-                    stack=stack_with_weights(stack, weights),
+                    stack=stack,
                     train_loss=loss_hist,
                     test_mse=mse_hist,
                     lr=lr,

@@ -76,3 +76,11 @@ def test_comments_and_blank_lines():
 
 def test_minimal_empty_config():
     assert parse_config("") == ExperimentConfig()
+
+
+def test_dof_probes_capped_below_seed_aliasing():
+    # input i seeds its probes seed ^ (i << 16) ^ k, so k must stay below 2**16
+    assert parse_config("dof.probes = 65536\n").dof_probes == 65536
+    with pytest.raises(ConfigError) as err:
+        parse_config("dof.probes = 65537\n")
+    assert "dof.probes" in str(err.value)

@@ -152,3 +152,42 @@ def test_corrupt_weight_container(tmp_path):
     path.write_bytes(b"XXXXX" + b"\x00" * 32)
     with pytest.raises(DatasetHeaderError):
         load_stack(path)
+
+
+def _sunw1(path, mode_u, sym_u, T, shapes, payload_values=0):
+    """Write a SUNW1 header with the given fields and a zero payload."""
+    import struct
+
+    blob = b"SUNW1" + struct.pack("<4I", mode_u, sym_u, T, len(shapes))
+    for l_k, n_k in shapes:
+        blob += struct.pack("<2I", l_k, n_k)
+    path.write_bytes(blob + b"\x00" * (8 * payload_values))
+    return path
+
+
+def test_weight_container_without_layers_is_header_error(tmp_path):
+    from proxsure.cli import main
+    from proxsure.errors import DatasetHeaderError
+
+    path = _sunw1(tmp_path / "weights.bin", 0, 1, 2, [])
+    with pytest.raises(DatasetHeaderError):
+        load_stack(path)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 4\ndata.rank = 2\nn_test = 2\n")
+    assert main(["evaluate", str(path), "--config", str(cfg)]) == 3
+
+
+def test_weight_container_unknown_mode_word_is_header_error(tmp_path):
+    from proxsure.errors import DatasetHeaderError
+
+    path = _sunw1(tmp_path / "weights.bin", 7, 1, 1, [(2, 3)], payload_values=6)
+    with pytest.raises(DatasetHeaderError):
+        load_stack(path)
+
+
+def test_weight_container_mismatched_layer_n_is_header_error(tmp_path):
+    from proxsure.errors import DatasetHeaderError
+
+    path = _sunw1(tmp_path / "weights.bin", 0, 1, 1, [(2, 3), (2, 4)], payload_values=14)
+    with pytest.raises(DatasetHeaderError):
+        load_stack(path)

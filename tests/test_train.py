@@ -223,3 +223,94 @@ def test_fixed_point_jacobian_orthonormal_rows():
     J = fixed_point_jacobian(W, y, result.iterations + 40)
     assert abs(result.dof - np.trace(J)) <= 1.0
     assert result.projector_residual <= 1e-6
+
+
+def _reference_train(x, y, x_test, y_test, op, step, hidden, T, mode, symmetric,
+                     lr_grid, epochs, batch, seed):
+    """train() spelled out with the public step functions, one weight list
+    and one rebuilt stack per minibatch. Returns, per learning rate, the
+    final weights and the train-loss history, or None if it diverged."""
+    from proxsure.network import forward_map
+
+    runs = []
+    for li, lr in enumerate(lr_grid):
+        stack = random_stack(x.shape[1], hidden, T, mode, symmetric,
+                             seed=np.random.default_rng([seed, li, 2]))
+        order_rng = np.random.default_rng([seed, li, 3])
+        weights = flatten_weights(stack)
+        state = OptimizerState.for_weights(weights, lr)
+        losses = []
+        try:
+            for _ in range(epochs):
+                order = order_rng.permutation(len(x))
+                total, seen = 0.0, 0
+                for start in range(0, len(x), batch):
+                    idx = order[start : start + batch]
+                    stack = stack_with_weights(stack, weights)
+                    loss, grads = loss_and_gradients(stack, x[idx], y[idx], op, step)
+                    weights, state = adam_step(state, weights, grads)
+                    total += loss * len(idx)
+                    seen += len(idx)
+                losses.append(total / seen)
+        except NonFiniteError:
+            runs.append(None)
+            continue
+        xhat = forward_map(stack_with_weights(stack, weights), op, step)(y_test)
+        runs.append((weights, losses, float(np.mean((xhat - x_test) ** 2))))
+    return runs
+
+
+@pytest.mark.parametrize("mode", ["ws", "wc"])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("step", [StepParams("gradient", 0.3), StepParams("ls", 0.4)],
+                         ids=["gradient", "ls"])
+def test_train_matches_reference_loop_bit_for_bit(mode, symmetric, step):
+    n = 6
+    x, y = _toy_problem(seed=3, N=24, n=n)
+    op = identity_operator(n)
+    lr_grid = [1e-3, 1e150, 3e-3]
+    kwargs = dict(hidden=[5, 3], T=2, mode=mode, symmetric=symmetric,
+                  lr_grid=lr_grid, epochs=3, batch=5, seed=11)
+    result = train(x[:16], y[:16], x[16:], y[16:], op, step, **kwargs)
+    runs = _reference_train(x[:16], y[:16], x[16:], y[16:], op, step, **kwargs)
+
+    assert runs[1] is None and result.diverged_lrs == [1e150]
+    finite = {lr: run for lr, run in zip(lr_grid, runs) if run is not None}
+    assert result.lr == min(finite, key=lambda lr: finite[lr][2])
+    weights, losses, mse = finite[result.lr]
+    assert result.train_loss == losses
+    assert np.isclose(result.test_mse[-1], mse, rtol=1e-9)
+    got = flatten_weights(result.stack)
+    assert len(got) == len(weights)
+    for a, b in zip(got, weights):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_train_builds_step_matrices_once_and_steps_once_per_batch(monkeypatch):
+    import importlib
+
+    from proxsure.network import ProximalStack
+
+    # the package re-exports the function train, which shadows the module
+    train_mod = importlib.import_module("proxsure.train")
+
+    calls = {"step_matrices": 0, "loss_and_gradients": 0}
+    step_matrices, loss_and_grads = train_mod.step_matrices, train_mod.loss_and_gradients
+
+    def counted_step_matrices(*args, **kwargs):
+        calls["step_matrices"] += 1
+        return step_matrices(*args, **kwargs)
+
+    def counted_loss(stack, *args, **kwargs):
+        assert isinstance(stack, ProximalStack)
+        calls["loss_and_gradients"] += 1
+        return loss_and_grads(stack, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "step_matrices", counted_step_matrices)
+    monkeypatch.setattr(train_mod, "loss_and_gradients", counted_loss)
+    n = 6
+    x, y = _toy_problem(N=18, n=n)
+    # 3 epochs of ceil(18 / 4) = 5 minibatches, capped at 12 steps, per lr
+    train(x, y, x, y, identity_operator(n), StepParams("ls", 0.5), hidden=[4], T=2,
+          lr_grid=[1e-3, 3e-3], epochs=3, batch=4, max_steps=12, seed=4)
+    assert calls == {"step_matrices": 1, "loss_and_gradients": 2 * 12}
