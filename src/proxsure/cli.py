@@ -245,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("sweep", parents=[common], help="run the full experiment grid")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored; cells run in order in one thread "
+                   "(a 2-thread pool was ~2x slower on 2 vCPUs: the GIL)")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("verify", parents=[common], help="numerical theory checks")

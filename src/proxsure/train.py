@@ -64,7 +64,7 @@ def _forward_cached(stack, Y, op, G_x, G_y):
             D = z > 0.0
             a = D * z
             h_next = (h - a @ W) if Wbar is None else (h + a @ W)
-            layer_cache.append((h, z, D))
+            layer_cache.append((h, D, a))
             h = h_next
         cache.append(layer_cache)
         x = h
@@ -110,12 +110,11 @@ def loss_and_gradients(
         layers = stack.layer_weights(t)
         for k in reversed(range(K)):
             W, Wbar = layers[k]
-            h_in, z, D = cache[t][k]
-            a = D * z
+            h_in, D, a = cache[t][k]
             i = (wi * K + k) * slots
             if Wbar is None:
                 dz = D * (-(g @ W.T))
-                grads[i] = grads[i] + (-(a.T @ g) + dz.T @ h_in)
+                grads[i] = grads[i] + (dz.T @ h_in - a.T @ g)
                 g = g + dz @ W
             else:
                 dz = D * (g @ W.T)
@@ -149,29 +148,39 @@ class OptimizerState:
 
 
 def adam_step(state: OptimizerState, weights, grads):
-    """Bias-corrected Adam update; returns (new_weights, new_state)."""
+    """Bias-corrected Adam update; returns (new_weights, state).
+
+    state's moments are updated in place and its step_count advanced;
+    weights and grads are never written. Nothing is written when a
+    gradient is non-finite.
+    """
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise NonFiniteError("non-finite gradient passed to Adam")
     t = state.step_count + 1
-    new_m, new_v, new_w = [], [], []
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    new_w = []
     for w, g, m, v in zip(weights, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        new_m.append(m)
-        new_v.append(v)
-        new_w.append(w - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    return new_w, OptimizerState(
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-        m=new_m,
-        v=new_v,
-        step_count=t,
-    )
+        # in place, but in the operation order of m = b1*m + (1-b1)*g,
+        # v = b2*v + ((1-b2)*g)*g and w - lr*(m/c1) / (sqrt(v/c2) + eps)
+        tmp = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += tmp
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        upd = m / c1
+        upd *= state.lr
+        upd /= tmp
+        new_w.append(np.subtract(w, upd, out=upd))
+    state.step_count = t
+    return new_w, state
 
 
 @dataclass

@@ -1,10 +1,11 @@
 import csv
 import json
 import os
+import threading
 
 import pytest
 
-from proxsure import cli
+from proxsure import cli, sweep
 from proxsure.config import parse_config
 from proxsure.errors import ProxsureError
 from proxsure.sweep import COLUMNS, report_plots, run_sweep
@@ -105,6 +106,42 @@ def test_parallel_matches_serial(tmp_path, tiny_cfg):
     serial = run_sweep(cfg, tmp_path / "serial", workers=1)
     parallel = run_sweep(cfg, tmp_path / "parallel", workers=4)
     assert open(serial, "rb").read() == open(parallel, "rb").read()
+
+
+def test_sweep_runs_cells_in_order_on_calling_thread(tmp_path, tiny_cfg, monkeypatch):
+    text = tiny_cfg.read_text().replace('["ws"]', '["ws", "wc"]').replace("[0]", "[0, 1]")
+    cfg = parse_config(text)
+    calls = []
+    run_cell = sweep.run_cell
+
+    def recording(cfg, mode, sigma, n_train, seed):
+        calls.append((threading.get_ident(), mode, n_train, seed))
+        return run_cell(cfg, mode, sigma, n_train, seed)
+
+    monkeypatch.setattr(sweep, "run_cell", recording)
+    run_sweep(cfg, tmp_path / "out", workers=4)
+    me = threading.get_ident()
+    assert calls == [(me, "ws", 8, 0), (me, "ws", 8, 1), (me, "wc", 8, 0), (me, "wc", 8, 1)]
+
+
+def test_resume_recomputes_cells_of_another_config(tmp_path, tiny_cfg):
+    cfg = parse_config(tiny_cfg.read_text())
+    other = parse_config(tiny_cfg.read_text().replace("optimizer.epochs = 2", "optimizer.epochs = 3"))
+    stale = run_sweep(cfg, tmp_path / "a")
+    old_bytes = open(stale, "rb").read()
+    resumed = run_sweep(other, tmp_path / "a")
+    fresh = run_sweep(other, tmp_path / "b")
+    assert open(fresh, "rb").read() != old_bytes
+    assert open(resumed, "rb").read() == open(fresh, "rb").read()
+
+
+def test_resume_same_config_runs_no_cell(tmp_path, tiny_cfg, monkeypatch):
+    cfg = parse_config(tiny_cfg.read_text().replace('["ws"]', '["ws", "wc"]'))
+    first = open(run_sweep(cfg, tmp_path / "out"), "rb").read()
+    calls = []
+    monkeypatch.setattr(sweep, "run_cell", lambda *args: calls.append(args))
+    assert open(run_sweep(cfg, tmp_path / "out"), "rb").read() == first
+    assert calls == []
 
 
 # --- CLI ------------------------------------------------------------------

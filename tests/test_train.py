@@ -124,6 +124,35 @@ def test_adam_determinism_and_nonfinite():
         adam_step(s, w, [np.array([np.nan, 0.0, 0.0])])
 
 
+def test_adam_matches_textbook_and_leaves_inputs_unchanged():
+    rng = np.random.default_rng(5)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    weights = [rng.standard_normal((3, 4)), rng.standard_normal(5)]
+    ref = [w.copy() for w in weights]
+    m = [np.zeros_like(w) for w in weights]
+    v = [np.zeros_like(w) for w in weights]
+    state = OptimizerState.for_weights(weights, lr=lr)
+    for t in range(1, 6):
+        grads = [rng.standard_normal(w.shape) for w in weights]
+        grads[0][0, 0] = 0.0
+        w_bytes = [w.tobytes() for w in weights]
+        g_bytes = [g.tobytes() for g in grads]
+        new_w, state = adam_step(state, weights, grads)
+        assert [w.tobytes() for w in weights] == w_bytes
+        assert [g.tobytes() for g in grads] == g_bytes
+        for j, g in enumerate(grads):
+            m[j] = b1 * m[j] + (1 - b1) * g
+            v[j] = b2 * v[j] + (1 - b2) * g * g
+            m_hat = m[j] / (1 - b1**t)
+            v_hat = v[j] / (1 - b2**t)
+            ref[j] = ref[j] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert [w.tobytes() for w in new_w] == [r.tobytes() for r in ref]
+        assert [a.tobytes() for a in state.m] == [a.tobytes() for a in m]
+        assert [a.tobytes() for a in state.v] == [a.tobytes() for a in v]
+        weights = new_w
+    assert state.step_count == 5
+
+
 def _toy_problem(seed=0, N=16, n=6):
     data = generate_subspace_data(n, 2, N, seed=seed)
     x = data.samples
