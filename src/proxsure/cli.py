@@ -161,7 +161,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    csv_path = run_sweep(cfg, cfg.out, workers=args.workers)
+    csv_path = run_sweep(cfg, cfg.out)
     print(csv_path)
     return 0
 
@@ -245,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("sweep", parents=[common], help="run the full experiment grid")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored; cells run in order in one thread "
-                   "(a 2-thread pool was ~2x slower on 2 vCPUs: the GIL)")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("verify", parents=[common], help="numerical theory checks")

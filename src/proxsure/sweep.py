@@ -11,6 +11,7 @@ determinism contract.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -192,24 +193,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cell_config_sha256(cfg: ExperimentConfig) -> str:
+    """SHA-256 of the echoed config without the keys that only select
+    cells (the grids; a cell file holds its own mode, sigma, N and seed)
+    or name the output directory."""
+    cell_cfg = dataclasses.replace(
+        cfg, sigma=[], sigma_pixel=[], n_train_grid=[], model_mode=[], seeds=[], out=""
+    )
+    return hashlib.sha256(config_to_text(cell_cfg).encode()).hexdigest()
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
     """Run all cells in order in the calling thread, resuming from
     per-cell files written under the same config.
 
-    Each cell file stores the SHA-256 of config_to_text(cfg); a file whose
-    hash is missing or differs is recomputed, so a resumed directory never
-    mixes configs. workers is accepted and ignored: a train step is ~65
-    numpy calls of 1-5 us that each release the GIL, so a thread pool
-    spends its time switching threads. On 2 vCPUs, 2 threads ran at
-    0.65-0.72x the in-order speed at n = 32, l = 64 (the trend and default
-    sizes) and won (1.5-1.8x) only at n = 128, l = 256, beyond any shipped
-    config.
+    Each cell file stores a SHA-256 of the config a cell depends on (see
+    _cell_config_sha256); a file whose hash is missing or differs is
+    recomputed, so a resumed directory never mixes configs, while growing
+    a grid or moving the directory reuses the cells already done.
+
+    workers is ignored, kept only for callers that still pass it: a train
+    step is ~65 numpy calls of 1-5 us that each release the GIL, so a
+    thread pool spends its time switching threads. On 2 vCPUs, 2 threads
+    ran at 0.65-0.72x the in-order speed at n = 32, l = 64 (the trend and
+    default sizes) and won (1.5-1.8x) only at n = 128, l = 256, beyond any
+    shipped config.
 
     Returns the path of the aggregate CSV. Also writes summary.json,
     schema.json, the echoed config, and (non-deterministic) timings.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
-    config_sha256 = hashlib.sha256(config_to_text(cfg).encode()).hexdigest()
+    config_sha256 = _cell_config_sha256(cfg)
     cells = [
         (mode, sigma, n_train, seed)
         for mode in cfg.modes()
@@ -226,7 +240,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
         if os.path.exists(path):
             with open(path) as f:
                 row = json.load(f)
-            if row.get("config_sha256") == config_sha256:
+            key = (row.get("mode"), row.get("sigma"), row.get("n_train"), row.get("seed"))
+            if row.get("config_sha256") == config_sha256 and key == cell:
                 return row
         started = time.perf_counter()
         row = run_cell(cfg, mode, sigma, n_train, seed)

@@ -148,39 +148,29 @@ class OptimizerState:
 
 
 def adam_step(state: OptimizerState, weights, grads):
-    """Bias-corrected Adam update; returns (new_weights, state).
-
-    state's moments are updated in place and its step_count advanced;
-    weights and grads are never written. Nothing is written when a
-    gradient is non-finite.
-    """
+    """Bias-corrected Adam update; returns (new_weights, new_state)."""
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise NonFiniteError("non-finite gradient passed to Adam")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    new_w = []
+    new_m, new_v, new_w = [], [], []
+    c1 = 1.0 - state.beta1**t
+    c2 = 1.0 - state.beta2**t
     for w, g, m, v in zip(weights, grads, state.m, state.v):
-        # in place, but in the operation order of m = b1*m + (1-b1)*g,
-        # v = b2*v + ((1-b2)*g)*g and w - lr*(m/c1) / (sqrt(v/c2) + eps)
-        tmp = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += tmp
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
-        v *= b2
-        v += tmp
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += state.eps
-        upd = m / c1
-        upd *= state.lr
-        upd /= tmp
-        new_w.append(np.subtract(w, upd, out=upd))
-    state.step_count = t
-    return new_w, state
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        new_m.append(m)
+        new_v.append(v)
+        new_w.append(w - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
+    return new_w, OptimizerState(
+        lr=state.lr,
+        beta1=state.beta1,
+        beta2=state.beta2,
+        eps=state.eps,
+        m=new_m,
+        v=new_v,
+        step_count=t,
+    )
 
 
 @dataclass

@@ -108,20 +108,30 @@ def test_parallel_matches_serial(tmp_path, tiny_cfg):
     assert open(serial, "rb").read() == open(parallel, "rb").read()
 
 
-def test_sweep_runs_cells_in_order_on_calling_thread(tmp_path, tiny_cfg, monkeypatch):
-    text = tiny_cfg.read_text().replace('["ws"]', '["ws", "wc"]').replace("[0]", "[0, 1]")
-    cfg = parse_config(text)
+@pytest.fixture
+def cell_calls(monkeypatch):
+    """Record (thread, mode, sigma, n_train, seed) of every run_cell call."""
     calls = []
     run_cell = sweep.run_cell
 
     def recording(cfg, mode, sigma, n_train, seed):
-        calls.append((threading.get_ident(), mode, n_train, seed))
+        calls.append((threading.get_ident(), mode, sigma, n_train, seed))
         return run_cell(cfg, mode, sigma, n_train, seed)
 
     monkeypatch.setattr(sweep, "run_cell", recording)
-    run_sweep(cfg, tmp_path / "out", workers=4)
+    return calls
+
+
+def test_sweep_runs_cells_in_order_on_calling_thread(tmp_path, tiny_cfg, cell_calls):
+    text = tiny_cfg.read_text().replace('["ws"]', '["ws", "wc"]').replace("[0]", "[0, 1]")
+    run_sweep(parse_config(text), tmp_path / "out", workers=4)
     me = threading.get_ident()
-    assert calls == [(me, "ws", 8, 0), (me, "ws", 8, 1), (me, "wc", 8, 0), (me, "wc", 8, 1)]
+    assert cell_calls == [
+        (me, "ws", 0.2, 8, 0),
+        (me, "ws", 0.2, 8, 1),
+        (me, "wc", 0.2, 8, 0),
+        (me, "wc", 0.2, 8, 1),
+    ]
 
 
 def test_resume_recomputes_cells_of_another_config(tmp_path, tiny_cfg):
@@ -135,13 +145,34 @@ def test_resume_recomputes_cells_of_another_config(tmp_path, tiny_cfg):
     assert open(resumed, "rb").read() == open(fresh, "rb").read()
 
 
-def test_resume_same_config_runs_no_cell(tmp_path, tiny_cfg, monkeypatch):
+def test_resume_same_config_runs_no_cell(tmp_path, tiny_cfg, cell_calls):
     cfg = parse_config(tiny_cfg.read_text().replace('["ws"]', '["ws", "wc"]'))
     first = open(run_sweep(cfg, tmp_path / "out"), "rb").read()
-    calls = []
-    monkeypatch.setattr(sweep, "run_cell", lambda *args: calls.append(args))
+    cell_calls.clear()
     assert open(run_sweep(cfg, tmp_path / "out"), "rb").read() == first
-    assert calls == []
+    assert cell_calls == []
+
+
+def test_resume_reuses_cells_when_grid_grows_or_out_is_respelled(tmp_path, tiny_cfg, cell_calls):
+    cfg = parse_config(tiny_cfg.read_text())
+    cfg.out = str(tmp_path / "a")
+    run_sweep(cfg, cfg.out)
+    grown = parse_config(tiny_cfg.read_text().replace("seeds = [0]", "seeds = [0, 1]"))
+    grown.out = cfg.out + os.sep
+    fresh = open(run_sweep(grown, tmp_path / "b"), "rb").read()
+    cell_calls.clear()
+    assert open(run_sweep(grown, grown.out), "rb").read() == fresh
+    assert [c[1:] for c in cell_calls] == [("ws", 0.2, 8, 1)]
+
+
+def test_resume_recomputes_cell_whose_sigma_shares_its_file_name(tmp_path, tiny_cfg, cell_calls):
+    # cell file names print sigma with %g, so 0.2000001 and 0.2000002 share one
+    cfg = parse_config(tiny_cfg.read_text().replace("sigma = 0.2", "sigma = 0.2000001"))
+    run_sweep(cfg, tmp_path / "out")
+    near = parse_config(tiny_cfg.read_text().replace("sigma = 0.2", "sigma = 0.2000002"))
+    cell_calls.clear()
+    run_sweep(near, tmp_path / "out")
+    assert [c[1:] for c in cell_calls] == [("ws", 0.2000002, 8, 0)]
 
 
 # --- CLI ------------------------------------------------------------------
