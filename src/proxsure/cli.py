@@ -15,14 +15,13 @@ import sys
 import numpy as np
 
 from . import data as datamod
-from .config import ExperimentConfig, build_operator, build_step, parse_config
+from .config import ExperimentConfig, build_dataset, build_operator, build_step, parse_config
 from .errors import ConfigError, ProxsureError
-from .jacobian import jacobian_report
+from .jacobian import accumulate_jacobian, jacobian_report
 from .network import forward_map, load_stack, save_stack, unroll_forward
 from .risk import sure_report
 from .spectrum import spectrum, spectrum_csv
-from .sweep import report_plots, run_sweep
-from .train import train
+from .sweep import cell_split, report_plots, run_sweep, train_cell
 from .verify import COMMANDS as VERIFY_COMMANDS
 
 log = logging.getLogger("proxsure")
@@ -43,56 +42,16 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_generate_data(args) -> int:
     cfg = _load_config(args)
-    seed = cfg.seeds[0]
-    if cfg.data_kind == "subspace":
-        dataset = datamod.generate_subspace_data(cfg.n, cfg.data_rank, args.count, seed=seed)
-    else:
-        dataset = datamod.generate_sparse_data(
-            cfg.n, cfg.data_dict_size, cfg.data_sparsity, args.count, seed=seed
-        )
+    dataset = build_dataset(cfg, args.count, cfg.seeds[0])
     os.makedirs(os.path.dirname(args.path) or ".", exist_ok=True)
     datamod.save_dataset(dataset, args.path)
     log.info("wrote %d samples to %s", dataset.N, args.path)
     return 0
 
 
-def _train_cell(cfg: ExperimentConfig, seed: int):
-    op = build_operator(cfg)
-    step = build_step(cfg)
-    sigma = cfg.sigma[0]
-    n_train = cfg.n_train_grid[-1]
-    if cfg.data_kind == "subspace":
-        train_set = datamod.generate_subspace_data(cfg.n, cfg.data_rank, n_train, seed=(seed, 10))
-        test_set = datamod.generate_subspace_data(
-            cfg.n, cfg.data_rank, cfg.n_test, seed=(seed, 10), offset=datamod.TEST_OFFSET
-        )
-    else:
-        train_set = datamod.generate_sparse_data(
-            cfg.n, cfg.data_dict_size, cfg.data_sparsity, n_train, seed=(seed, 10)
-        )
-        test_set = datamod.generate_sparse_data(
-            cfg.n, cfg.data_dict_size, cfg.data_sparsity, cfg.n_test,
-            seed=(seed, 10), offset=datamod.TEST_OFFSET,
-        )
-    from .operators import apply_operator
-
-    y_train = apply_operator(op, datamod.add_noise(train_set.samples, sigma, seed=(seed, 12)))
-    y_test = apply_operator(op, datamod.add_noise(test_set.samples, sigma, seed=(seed, 13)))
-    result = train(
-        train_set.samples, y_train, test_set.samples, y_test, op, step,
-        hidden=cfg.model_hidden, T=cfg.model_iterations,
-        mode=cfg.modes()[0], symmetric=cfg.model_symmetric,
-        lr_grid=cfg.opt_lr_grid, epochs=cfg.opt_epochs, batch=cfg.opt_batch,
-        anneal_at=None if cfg.opt_anneal_at < 0 else cfg.opt_anneal_at,
-        max_steps=None if cfg.opt_max_steps < 0 else cfg.opt_max_steps,
-        seed=seed,
-    )
-    return result, op, step, test_set, y_test, sigma
-
-
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
-    result, *_ = _train_cell(cfg, cfg.seeds[0])
+    result = train_cell(cfg, cfg.modes()[0], cfg.sigma[0], cfg.n_train_grid[-1], cfg.seeds[0])[0]
     os.makedirs(cfg.out, exist_ok=True)
     weights_path = os.path.join(cfg.out, "weights.bin")
     save_stack(result.stack, weights_path)
@@ -116,20 +75,7 @@ def _cmd_evaluate(args) -> int:
     op = build_operator(cfg)
     step = build_step(cfg)
     sigma = cfg.sigma[0]
-    seed = cfg.seeds[0]
-    if cfg.data_kind == "subspace":
-        test_set = datamod.generate_subspace_data(
-            cfg.n, cfg.data_rank, cfg.n_test, seed=(seed, 10), offset=datamod.TEST_OFFSET
-        )
-    else:
-        test_set = datamod.generate_sparse_data(
-            cfg.n, cfg.data_dict_size, cfg.data_sparsity, cfg.n_test,
-            seed=(seed, 10), offset=datamod.TEST_OFFSET,
-        )
-    from .operators import apply_operator
-    from .jacobian import accumulate_jacobian
-
-    y_test = apply_operator(op, datamod.add_noise(test_set.samples, sigma, seed=(seed, 13)))
+    test_set, y_test = cell_split(cfg, op, sigma, cfg.n_test, cfg.seeds[0], test=True)
     h = forward_map(stack, op, step)
     reports = []
     for i in range(test_set.N):

@@ -179,6 +179,17 @@ def build_operator(cfg: ExperimentConfig):
     return ops.dft_operator(cfg.n, cfg.operator_omega)
 
 
+def build_dataset(cfg: ExperimentConfig, N: int, seed, offset: int = 0):
+    """N samples of the configured data kind (see data.generate_*_data)."""
+    from . import data
+
+    if cfg.data_kind == "subspace":
+        return data.generate_subspace_data(cfg.n, cfg.data_rank, N, seed=seed, offset=offset)
+    return data.generate_sparse_data(
+        cfg.n, cfg.data_dict_size, cfg.data_sparsity, N, seed=seed, offset=offset
+    )
+
+
 def build_step(cfg: ExperimentConfig):
     from .operators import StepParams
 

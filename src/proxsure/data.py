@@ -26,6 +26,11 @@ MAGIC = b"SUND1"
 TEST_OFFSET = 1_000_000
 _KIND_CODES = {"subspace": 0, "sparse": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+# header after (n, N, kind code): the seed word, then the kind's parameters
+_HEADER_TAIL = {"subspace": "<qI", "sparse": "<q2I"}
+_PARAM_NAMES = {"subspace": ("r",), "sparse": ("dict_size", "k")}
+# the shortest container: a subspace header, no samples, the CRC32 trailer
+_MIN_SIZE = len(MAGIC) + 9 + struct.calcsize(_HEADER_TAIL["subspace"]) + 4
 
 
 @dataclass(frozen=True)
@@ -133,11 +138,9 @@ def sample_correlation(dataset: Dataset) -> np.ndarray:
 def save_dataset(dataset: Dataset, path) -> None:
     """SUND1 container: header, kind params, float64 payload, trailing CRC32."""
     body = [MAGIC, struct.pack("<2IB", dataset.n, dataset.N, _KIND_CODES[dataset.kind])]
-    body.append(struct.pack("<q", dataset.seed))
-    if dataset.kind == "subspace":
-        body.append(struct.pack("<I", dataset.params["r"]))
-    else:
-        body.append(struct.pack("<2I", dataset.params["dict_size"], dataset.params["k"]))
+    names = _PARAM_NAMES[dataset.kind]
+    body.append(struct.pack(_HEADER_TAIL[dataset.kind], dataset.seed,
+                            *(dataset.params[k] for k in names)))
     body.append(np.ascontiguousarray(dataset.samples, dtype="<f8").tobytes())
     blob = b"".join(body)
     with open(path, "wb") as f:
@@ -147,8 +150,10 @@ def save_dataset(dataset: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < len(MAGIC) + 9 or blob[: len(MAGIC)] != MAGIC:
+    if blob[: len(MAGIC)] != MAGIC:
         raise DatasetHeaderError("not a SUND1 dataset container")
+    if len(blob) < _MIN_SIZE:
+        raise DatasetTruncatedError(f"file ends at {len(blob)} bytes, inside the header")
     payload, trailer = blob[:-4], blob[-4:]
     off = len(MAGIC)
     n, N, code = struct.unpack_from("<2IB", payload, off)
@@ -156,16 +161,12 @@ def load_dataset(path) -> Dataset:
     if code not in _KIND_NAMES:
         raise DatasetHeaderError(f"unknown dataset kind code {code}")
     kind = _KIND_NAMES[code]
-    (seed,) = struct.unpack_from("<q", payload, off)
-    off += 8
-    if kind == "subspace":
-        (r,) = struct.unpack_from("<I", payload, off)
-        off += 4
-        params = {"r": r}
-    else:
-        dict_size, k = struct.unpack_from("<2I", payload, off)
-        off += 8
-        params = {"dict_size": dict_size, "k": k}
+    tail = _HEADER_TAIL[kind]
+    if len(payload) < off + struct.calcsize(tail):
+        raise DatasetTruncatedError(f"file ends at {len(blob)} bytes, inside the header")
+    seed, *words = struct.unpack_from(tail, payload, off)
+    off += struct.calcsize(tail)
+    params = dict(zip(_PARAM_NAMES[kind], words))
     expected = off + 8 * n * N
     if len(payload) < expected:
         raise DatasetTruncatedError(

@@ -23,8 +23,8 @@ from .errors import (
     PathCapExceededError,
     UnsupportedArchitectureError,
 )
-from .network import ForwardTrace, ProximalStack, stage_matrix
-from .operators import SensingOperator, StepParams, step_matrices
+from .network import ForwardTrace, ProximalStack, frozen_mask_pass
+from .operators import SensingOperator, StepParams, operator_matrix, step_matrices
 
 DEFAULT_PATH_CAP = 14
 
@@ -56,17 +56,12 @@ def accumulate_jacobian(
                     "trace mask width", W.shape[0], mask.shape[-1]
                 )
     G_x, G_y = step_matrices(op, step)
-    from .operators import operator_matrix
-
-    J = operator_matrix(op).T  # d x^0 / d y = Phi^H
-    for t in range(stack.T):
-        J = G_x @ J + G_y
-        for (W, Wbar), mask in zip(stack.layer_weights(t), trace.masks[t]):
-            J = stage_matrix(W, Wbar, mask) @ J
-    return J
+    # d x^0 / d y = Phi^H, and the data step's y-term has Jacobian G_y
+    return frozen_mask_pass(trace.masks, stack, G_x, G_y, operator_matrix(op).T, np.eye(op.m))
 
 
 def jacobian_trace_exact(J: np.ndarray) -> float:
+    """Trace of the assembled end-to-end Jacobian: the exact DOF."""
     J = np.asarray(J)
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ValueError(f"trace needs a square matrix, got shape {J.shape}")
@@ -159,6 +154,11 @@ def path_expansion(
     return terms
 
 
+def theorem1_bound(eps: float, T: int) -> float:
+    """Theorem 1's surrogate error bound (1 + eps)^T - 1 - eps*T."""
+    return float((1.0 + eps) ** T - 1.0 - eps * T)
+
+
 def dof_surrogate(terms: list[PathTerm], n: int, mu: float, rho=None):
     """Alternating path-sparsity sum with its coherence error bound.
 
@@ -180,8 +180,7 @@ def dof_surrogate(terms: list[PathTerm], n: int, mu: float, rho=None):
         (-1.0) ** len(t.index_set) * t.path_sparsity for t in terms
     )
     eps = float(mu * rho_max**1.5)
-    bound = float((1.0 + eps) ** T - 1.0 - eps * T)
-    return surrogate, eps, bound, eps < 1.0
+    return surrogate, eps, theorem1_bound(eps, T), eps < 1.0
 
 
 def path_deviation(term: PathTerm, slack: float = 1e-12):

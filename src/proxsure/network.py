@@ -5,17 +5,22 @@ relu(Wbar h). In the symmetric case Wbar is tied to W with the unit
 acting as h -> (I - W^H D W) h, where the mask D = 1{W h > 0} so the
 stage matrix is the exact local Jacobian. ReLU at exactly zero counts
 as inactive.
+
+Every forward pass (training, evaluation, trace recording) runs the one
+kernel `unroll` on the data step's matrices (G_x, G_y), so they all see
+the same network bit for bit. `frozen_mask_pass` runs the network with
+recorded masks frozen: on y it replays x^T, on Phi^H the Jacobian.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DatasetHeaderError, DatasetTruncatedError
-from .operators import SensingOperator, StepParams, apply_operator, apply_step, step_matrices
+from .operators import SensingOperator, StepParams, apply_operator, step_matrices
 
 MAGIC = b"SUNW1"
 
@@ -96,6 +101,15 @@ def random_stack(
     return ProximalStack(n=n, T=T, mode=mode, symmetric=symmetric, weights=tuple(its))
 
 
+def _unit(h, W, Wbar):
+    """One residual unit; returns (h', D, a) with a = D * (Wbar h) the
+    ReLU output that the backward pass reuses."""
+    z = h @ (W if Wbar is None else Wbar).T
+    D = z > 0.0
+    a = D * z
+    return (h - a @ W) if Wbar is None else (h + a @ W), D, a
+
+
 def residual_unit_forward(h, W, Wbar=None):
     """One residual unit on the last axis; returns (h', mask).
 
@@ -105,15 +119,34 @@ def residual_unit_forward(h, W, Wbar=None):
     h = np.asarray(h, dtype=np.float64)
     if h.shape[-1] != W.shape[1]:
         raise DimensionMismatchError("residual unit input", W.shape[1], h.shape[-1])
-    if Wbar is None:
-        z = h @ W.T
-        D = z > 0.0
-        return h - (D * z) @ W, D
-    if Wbar.shape != W.shape:
+    if Wbar is not None and Wbar.shape != W.shape:
         raise DimensionMismatchError("Wbar rows", W.shape[0], Wbar.shape[0])
-    z = h @ Wbar.T
-    D = z > 0.0
-    return h + (D * z) @ W, D
+    h, D, _ = _unit(h, W, Wbar)
+    return h, D
+
+
+def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool = False):
+    """The forward kernel: x^0 = Phi^H y, then per iteration the data step
+    s = G_x x + G_y y followed by the residual units.
+
+    y is (m,) or a batch (B, m); (G_x, G_y) come from step_matrices.
+    Returns (x^T, record): record is None unless asked for, else one
+    (x_in, units) tuple per iteration with units[k] = (h, D, a) the
+    input, mask and ReLU output of unit k.
+    """
+    x = apply_operator(op, y, "adjoint")
+    rec = [] if record else None
+    for t in range(stack.T):
+        h = x @ G_x.T + y @ G_y.T
+        units = []
+        for W, Wbar in stack.layer_weights(t):
+            h_next, D, a = _unit(h, W, Wbar)
+            units.append((h, D, a))
+            h = h_next
+        if record:
+            rec.append((x, units))
+        x = h
+    return x, rec
 
 
 @dataclass
@@ -124,9 +157,6 @@ class ForwardTrace:
     pre_prox: list  # s^1 .. s^T
     layer_inputs: list  # layer_inputs[t][k] = h fed to unit k at iteration t+1
     masks: list  # masks[t][k] boolean array of layer width
-    converged: bool = False
-    converged_at: int | None = None
-    tol: float = 0.0
 
 
 def unroll_forward(
@@ -135,7 +165,6 @@ def unroll_forward(
     op: SensingOperator,
     step: StepParams,
     record: bool = True,
-    tol: float = 1e-9,
 ):
     """Run the unrolled network on y; returns (x^T, trace or None).
 
@@ -147,30 +176,15 @@ def unroll_forward(
         raise DimensionMismatchError("measurement", op.m, y.shape[-1])
     if record and y.ndim != 1:
         raise ValueError("trace recording needs a single input vector")
-
-    x = apply_operator(op, y, "adjoint")
-    trace = ForwardTrace([x], [], [], [], tol=tol) if record else None
-    for t in range(stack.T):
-        s = apply_step(x, y, op, step)
-        h = s
-        if record:
-            trace.pre_prox.append(s)
-            trace.layer_inputs.append([])
-            trace.masks.append([])
-        for W, Wbar in stack.layer_weights(t):
-            if record:
-                trace.layer_inputs[-1].append(h)
-            h, D = residual_unit_forward(h, W, Wbar)
-            if record:
-                trace.masks[-1].append(D)
-        x_new = h
-        if record:
-            trace.states.append(x_new)
-            if not trace.converged and np.linalg.norm(x_new - x) < tol:
-                trace.converged = True
-                trace.converged_at = t + 1
-        x = x_new
-    return x, trace
+    x, rec = unroll(y, stack, op, *step_matrices(op, step), record=record)
+    if not record:
+        return x, None
+    return x, ForwardTrace(
+        [x_in for x_in, _ in rec] + [x],
+        [units[0][0] for _, units in rec],
+        [[h for h, _, _ in units] for _, units in rec],
+        [[D for _, D, _ in units] for _, units in rec],
+    )
 
 
 def stage_matrix(W, Wbar, mask) -> np.ndarray:
@@ -179,6 +193,19 @@ def stage_matrix(W, Wbar, mask) -> np.ndarray:
     if Wbar is None:
         return np.eye(W.shape[1]) - W.T @ (d[:, None] * W)
     return np.eye(W.shape[1]) + W.T @ (d[:, None] * Wbar)
+
+
+def frozen_mask_pass(masks, stack: ProximalStack, G_x, G_y, x, r) -> np.ndarray:
+    """The network with its masks frozen: per iteration
+    x <- stage_K ... stage_1 (G_x x + G_y r), on columns of x and r.
+
+    On (Phi^H y, y) it replays x^T; on (Phi^H, I) it is d x^T / d y.
+    """
+    for t in range(stack.T):
+        x = G_x @ x + G_y @ r
+        for (W, Wbar), mask in zip(stack.layer_weights(t), masks[t]):
+            x = stage_matrix(W, Wbar, mask) @ x
+    return x
 
 
 def replay_from_trace(
@@ -190,22 +217,16 @@ def replay_from_trace(
 ) -> np.ndarray:
     """Rebuild x^T from the recorded masks via pseudo-linear stage products."""
     y = np.asarray(y, dtype=np.float64)
-    G_x, G_y = step_matrices(op, step)
-    x = apply_operator(op, y, "adjoint")
-    for t in range(stack.T):
-        s = G_x @ x + G_y @ y
-        for (W, Wbar), mask in zip(stack.layer_weights(t), trace.masks[t]):
-            s = stage_matrix(W, Wbar, mask) @ s
-        x = s
-    return x
+    x0 = apply_operator(op, y, "adjoint")
+    return frozen_mask_pass(trace.masks, stack, *step_matrices(op, step), x0, y)
 
 
 def forward_map(stack: ProximalStack, op: SensingOperator, step: StepParams):
     """End-to-end map y -> x^T as a plain callable (batched on the last axis)."""
+    G_x, G_y = step_matrices(op, step)
 
     def h(y):
-        out, _ = unroll_forward(y, stack, op, step, record=False)
-        return out
+        return unroll(np.asarray(y, dtype=np.float64), stack, op, G_x, G_y)[0]
 
     return h
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
+from .jacobian import jacobian_trace_exact
 
 
 def rss(y, xhat) -> float:
@@ -27,12 +28,7 @@ def rss(y, xhat) -> float:
     return float(np.sum((xhat - y) ** 2))
 
 
-def dof_exact(J) -> float:
-    """Trace of the assembled end-to-end Jacobian."""
-    J = np.asarray(J)
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        raise ValueError(f"dof_exact needs a square Jacobian, got {J.shape}")
-    return float(np.trace(J))
+dof_exact = jacobian_trace_exact
 
 
 def default_fd_delta(y) -> float:

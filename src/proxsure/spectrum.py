@@ -1,9 +1,9 @@
 """Filter spectrum analysis: summed 2-D DFT magnitudes of a kernel bank.
 
-Uses the direct O(pad^4) transform; kernels are tiny and the exact
-values matter more than speed. Classification compares the energy
-inside the DC-centered disk of radius pad/8 against the total:
-> 0.5 lowpass, < 0.1 highpass, bandpass in between.
+Each kernel is zero-padded to pad x pad and transformed with the FFT.
+Classification compares the energy inside the DC-centered disk of
+radius pad/8 against the total: > 0.5 lowpass, < 0.1 highpass,
+bandpass in between.
 """
 
 from __future__ import annotations
@@ -15,22 +15,15 @@ HIGHPASS_THRESHOLD = 0.1
 
 
 def dft2_direct(kernel: np.ndarray, pad: int) -> np.ndarray:
-    """Direct 2-D DFT of a zero-padded kernel; returns the complex grid."""
+    """2-D DFT of the kernel zero-padded to pad x pad; returns the complex grid."""
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 2:
         raise ValueError("kernel must be a 2-D array")
     if pad < max(k.shape):
         raise ValueError(f"pad {pad} smaller than kernel {k.shape}")
-    grid = np.zeros((pad, pad), dtype=np.complex128)
-    idx = np.arange(pad)
-    for a in range(k.shape[0]):
-        for b in range(k.shape[1]):
-            if k[a, b] == 0.0:
-                continue
-            phase_u = np.exp(-2j * np.pi * idx * a / pad)
-            phase_v = np.exp(-2j * np.pi * idx * b / pad)
-            grid += k[a, b] * np.outer(phase_u, phase_v)
-    return grid
+    padded = np.zeros((pad, pad))
+    padded[: k.shape[0], : k.shape[1]] = k
+    return np.fft.fft2(padded)
 
 
 def low_frequency_energy_ratio(magnitude: np.ndarray) -> float:

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import data as datamod
-from .config import ExperimentConfig, build_operator, build_step, config_to_text
+from .config import ExperimentConfig, build_dataset, build_operator, build_step, config_to_text
 from .errors import ProxsureError, TrainingFailureError
 from .jacobian import (
     accumulate_jacobian,
@@ -30,8 +30,10 @@ from .jacobian import (
     incoherence,
     jacobian_trace_exact,
     path_expansion,
+    theorem1_bound,
 )
 from .network import forward_map, unroll_forward
+from .operators import apply_operator
 from .risk import dof_monte_carlo, mse_psnr, sure
 from .train import train
 
@@ -74,50 +76,48 @@ COLUMN_DOCS = {
 }
 
 
-def _generate(cfg: ExperimentConfig, N: int, seed_seq, offset: int = 0):
-    if cfg.data_kind == "subspace":
-        return datamod.generate_subspace_data(
-            cfg.n, cfg.data_rank, N, seed=seed_seq, offset=offset
-        )
-    return datamod.generate_sparse_data(
-        cfg.n, cfg.data_dict_size, cfg.data_sparsity, N, seed=seed_seq, offset=offset
+def cell_split(cfg: ExperimentConfig, op, sigma: float, N: int, seed: int, test: bool = False):
+    """A cell's train or test split: (clean samples, measurements Phi(x + v))."""
+    offset, noise_tag = (datamod.TEST_OFFSET, 13) if test else (0, 12)
+    clean = build_dataset(cfg, N, (seed, 10), offset)
+    noisy = datamod.add_noise(clean.samples, sigma, seed=(seed, noise_tag))
+    return clean, apply_operator(op, noisy)
+
+
+def train_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed: int):
+    """Train one cell's network; returns (TrainRunResult, op, step, test
+    split, test measurements). Raises TrainingFailureError."""
+    op = build_operator(cfg)
+    step = build_step(cfg)
+    train_set, m_train = cell_split(cfg, op, sigma, n_train, seed)
+    test_set, m_test = cell_split(cfg, op, sigma, cfg.n_test, seed, test=True)
+    result = train(
+        train_set.samples,
+        m_train,
+        test_set.samples,
+        m_test,
+        op,
+        step,
+        hidden=cfg.model_hidden,
+        T=cfg.model_iterations,
+        mode=mode,
+        symmetric=cfg.model_symmetric,
+        lr_grid=cfg.opt_lr_grid,
+        epochs=cfg.opt_epochs,
+        batch=cfg.opt_batch,
+        anneal_at=None if cfg.opt_anneal_at < 0 else cfg.opt_anneal_at,
+        max_steps=None if cfg.opt_max_steps < 0 else cfg.opt_max_steps,
+        seed=seed,
     )
+    return result, op, step, test_set, m_test
 
 
 def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed: int) -> dict:
     """Train and evaluate one sweep cell; returns a SweepRow dict."""
-    op = build_operator(cfg)
-    step = build_step(cfg)
-    train_set = _generate(cfg, n_train, (seed, 10))
-    test_set = _generate(cfg, cfg.n_test, (seed, 10), offset=datamod.TEST_OFFSET)
-    y_train = datamod.add_noise(train_set.samples, sigma, seed=(seed, 12))
-    y_test = datamod.add_noise(test_set.samples, sigma, seed=(seed, 13))
-    from .operators import apply_operator
-
-    m_train = apply_operator(op, y_train)
-    m_test = apply_operator(op, y_test)
-
     row = {c: math.nan for c in COLUMNS}
     row.update(seed=seed, mode=mode, sigma=sigma, n_train=n_train, status="ok")
     try:
-        result = train(
-            train_set.samples,
-            m_train,
-            test_set.samples,
-            m_test,
-            op,
-            step,
-            hidden=cfg.model_hidden,
-            T=cfg.model_iterations,
-            mode=mode,
-            symmetric=cfg.model_symmetric,
-            lr_grid=cfg.opt_lr_grid,
-            epochs=cfg.opt_epochs,
-            batch=cfg.opt_batch,
-            anneal_at=None if cfg.opt_anneal_at < 0 else cfg.opt_anneal_at,
-            max_steps=None if cfg.opt_max_steps < 0 else cfg.opt_max_steps,
-            seed=seed,
-        )
+        result, op, step, test_set, m_test = train_cell(cfg, mode, sigma, n_train, seed)
     except TrainingFailureError:
         row["status"] = "training-failure"
         return row
@@ -154,11 +154,8 @@ def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed:
             dof_vals.append(jacobian_trace_exact(J))
         if analyzable:
             terms = path_expansion(tr, stack, max_T=cfg.path_cap)
-            surrogates.append(
-                float(n)
-                + sum((-1.0) ** len(t.index_set) * t.path_sparsity for t in terms)
-            )
             rho = np.array([tr.masks[t][0].sum() for t in range(stack.T)], dtype=float)
+            surrogates.append(dof_surrogate(terms, n, mu, rho)[0])
             rho_sum = rho if rho_sum is None else rho_sum + rho
     if dof_vals:
         row["dof_exact_mean"] = float(np.mean(dof_vals))
@@ -179,7 +176,7 @@ def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed:
         row["rho_max"] = rho_max
         row["epsilon"] = eps
         row["dof_surrogate"] = float(np.mean(surrogates))
-        row["theorem1_bound"] = float((1.0 + eps) ** stack.T - 1.0 - eps * stack.T)
+        row["theorem1_bound"] = theorem1_bound(eps, stack.T)
     return row
 
 

@@ -14,8 +14,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NonFiniteError, TrainingFailureError
-from .network import ProximalStack, random_stack
-from .operators import SensingOperator, StepParams, apply_operator, step_matrices
+from .jacobian import accumulate_jacobian
+from .network import ProximalStack, random_stack, unroll, unroll_forward
+from .operators import SensingOperator, StepParams, identity_operator, step_matrices
 
 # dense grid for full-scale experiments; the default keeps desk runs fast
 FULL_LR_GRID = (
@@ -50,27 +51,6 @@ def stack_with_weights(stack: ProximalStack, arrays) -> ProximalStack:
     return replace(stack, weights=tuple(its))
 
 
-def _forward_cached(stack, Y, op, G_x, G_y):
-    """Batched forward keeping what the backward pass needs."""
-    x = apply_operator(op, Y, "adjoint")
-    cache = []
-    for t in range(stack.T):
-        s = x @ G_x.T + Y @ G_y.T
-        h = s
-        layer_cache = []
-        for W, Wbar in stack.layer_weights(t):
-            Wb = W if Wbar is None else Wbar
-            z = h @ Wb.T
-            D = z > 0.0
-            a = D * z
-            h_next = (h - a @ W) if Wbar is None else (h + a @ W)
-            layer_cache.append((h, D, a))
-            h = h_next
-        cache.append(layer_cache)
-        x = h
-    return x, cache
-
-
 def loss_and_gradients(
     stack: ProximalStack,
     x_true,
@@ -92,7 +72,7 @@ def loss_and_gradients(
         raise ValueError("batch of (x, y) pairs must be nonempty and aligned")
     B = X.shape[0]
     G_x, G_y = step_matrices(op, step) if matrices is None else matrices
-    xhat, cache = _forward_cached(stack, Y, op, G_x, G_y)
+    xhat, record = unroll(Y, stack, op, G_x, G_y, record=True)
     diff = xhat - X
     loss = float(np.sum(diff**2) / B)
     if not np.isfinite(loss):
@@ -110,7 +90,7 @@ def loss_and_gradients(
         layers = stack.layer_weights(t)
         for k in reversed(range(K)):
             W, Wbar = layers[k]
-            h_in, D, a = cache[t][k]
+            h_in, D, a = record[t][1][k]
             i = (wi * K + k) * slots
             if Wbar is None:
                 dz = D * (-(g @ W.T))
@@ -272,7 +252,7 @@ def train(
                 break
             if seen == 0:
                 break
-            xhat, _ = _forward_cached(stack, y_test, op, *matrices)
+            xhat, _ = unroll(y_test, stack, op, *matrices)
             loss_hist.append(epoch_loss / seen)
             mse_hist.append(float(np.mean((xhat - x_test) ** 2)))
             if max_steps is not None and steps_done >= max_steps:
@@ -407,15 +387,11 @@ def mask_fixed_point(
 
 
 def fixed_point_jacobian(W: np.ndarray, y, iterations: int) -> np.ndarray:
-    """Product of instantaneous stage matrices along the orbit from y."""
+    """Product of instantaneous stage matrices along the orbit from y:
+    the Jacobian of `iterations` shared symmetric units on the identity."""
     W = np.asarray(W, dtype=np.float64)
-    x = np.asarray(y, dtype=np.float64).copy()
-    n = len(x)
-    J = np.eye(n)
-    for _ in range(iterations):
-        z = W @ x
-        D = (z > 0.0).astype(np.float64)
-        M = np.eye(n) - W.T @ (D[:, None] * W)
-        J = M @ J
-        x = x - W.T @ (D * z)
-    return J
+    stack = ProximalStack(n=W.shape[1], T=iterations, mode="ws", symmetric=True,
+                          weights=(((W, None),),))
+    op, step = identity_operator(stack.n), StepParams("gradient", 0.0)
+    _, trace = unroll_forward(y, stack, op, step)
+    return accumulate_jacobian(trace, stack, op, step)

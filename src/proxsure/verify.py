@@ -19,10 +19,12 @@ import numpy as np
 from . import data as datamod
 from .jacobian import (
     accumulate_jacobian,
+    dof_surrogate,
     incoherence,
     jacobian_trace_exact,
     path_deviation_bound,
     path_expansion,
+    theorem1_bound,
 )
 from .network import (
     ForwardTrace,
@@ -154,11 +156,7 @@ def verify_theorem1(trials: int = 20, n: int = 16, max_T: int = 10, seed: int = 
         _, tr = unroll_forward(y, stack, op, step, record=True)
         J = accumulate_jacobian(tr, stack, op, step)
         terms = path_expansion(tr, stack)
-        surrogate = float(n) + sum(
-            (-1.0) ** len(t.index_set) * t.path_sparsity for t in terms
-        )
-        eps = incoherence(W) * max(t.sparsities[0] for t in terms) ** 1.5
-        bound = (1.0 + eps) ** T - 1.0 - eps * T
+        surrogate, _, bound, _ = dof_surrogate(terms, n, incoherence(W))
         violation = abs(jacobian_trace_exact(J) - surrogate)
         if bound != 0.0:
             violation = max(violation, abs(bound))
@@ -205,18 +203,13 @@ def verify_theorem1_trained(
                 _, tr = unroll_forward(y_eval[i], stack, op, step, record=True)
                 J = accumulate_jacobian(tr, stack, op, step)
                 traces.append(jacobian_trace_exact(J))
-                terms = path_expansion(tr, stack)
-                surrogates.append(
-                    float(n)
-                    + sum((-1.0) ** len(t.index_set) * t.path_sparsity for t in terms)
-                )
-                rho_sum += np.array(
-                    [tr.masks[t][0].sum() for t in range(T)], dtype=float
-                )
+                rho = np.array([tr.masks[t][0].sum() for t in range(T)], dtype=float)
+                surrogates.append(dof_surrogate(path_expansion(tr, stack), n, mu, rho)[0])
+                rho_sum += rho
             rho = rho_sum / n_eval
             eps = float(mu * rho.max() ** 1.5)
             deviation = abs(float(np.mean(traces)) - float(np.mean(surrogates)))
-            bound = (1.0 + eps) ** T - 1.0 - eps * T
+            bound = theorem1_bound(eps, T)
             row = {"seed": seed, "T": T, "epsilon": eps,
                    "deviation": deviation, "bound": bound}
             rows.append(row)

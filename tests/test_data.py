@@ -130,3 +130,32 @@ def test_dataset_corruption_errors(tmp_path):
     corrupt.write_bytes(bytes(flipped))
     with pytest.raises(DatasetChecksumError):
         load_dataset(corrupt)
+
+
+@pytest.mark.parametrize("kind", ["subspace", "sparse"])
+def test_dataset_cut_anywhere_is_a_format_error(tmp_path, kind):
+    """Every prefix of a container, raw or with a CRC32 recomputed over
+    the cut body, fails with a dataset error instead of a struct.error."""
+    import struct
+    import zlib
+
+    from proxsure.data import MAGIC
+
+    if kind == "subspace":
+        ds = generate_subspace_data(3, 2, 2, seed=5)
+    else:
+        ds = generate_sparse_data(3, 4, 2, 2, seed=5)
+    path = tmp_path / "ds.bin"
+    save_dataset(ds, path)
+    blob = path.read_bytes()
+    body = blob[:-4]
+    cut_path = tmp_path / "cut.bin"
+    for cut in range(len(blob)):
+        cases = [blob[:cut]]
+        if cut < len(body):
+            cases.append(body[:cut] + struct.pack("<I", zlib.crc32(body[:cut])))
+        for data in cases:
+            cut_path.write_bytes(data)
+            expected = DatasetHeaderError if cut < len(MAGIC) else DatasetTruncatedError
+            with pytest.raises(expected):
+                load_dataset(cut_path)

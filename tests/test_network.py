@@ -191,3 +191,17 @@ def test_weight_container_mismatched_layer_n_is_header_error(tmp_path):
     path = _sunw1(tmp_path / "weights.bin", 0, 1, 1, [(2, 3), (2, 4)], payload_values=14)
     with pytest.raises(DatasetHeaderError):
         load_stack(path)
+
+
+@pytest.mark.parametrize("mode,symmetric", [("ws", True), ("wc", False)])
+def test_weight_container_cut_anywhere_is_a_format_error(tmp_path, mode, symmetric):
+    from proxsure.errors import DatasetFormatError
+
+    stack = random_stack(3, [2, 2], T=2, mode=mode, symmetric=symmetric, seed=1)
+    path = tmp_path / "weights.bin"
+    save_stack(stack, path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DatasetFormatError):
+            load_stack(path)

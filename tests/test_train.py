@@ -343,3 +343,36 @@ def test_train_builds_step_matrices_once_and_steps_once_per_batch(monkeypatch):
     train(x, y, x, y, identity_operator(n), StepParams("ls", 0.5), hidden=[4], T=2,
           lr_grid=[1e-3, 3e-3], epochs=3, batch=4, max_steps=12, seed=4)
     assert calls == {"step_matrices": 1, "loss_and_gradients": 2 * 12}
+
+
+@pytest.mark.parametrize("mode", ["ws", "wc"])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("kind,step", [("circular", StepParams("ls", 0.5)),
+                                       ("dft", StepParams("gradient", 0.3))],
+                         ids=["circular-ls", "dft-gradient"])
+def test_evaluation_and_training_see_the_same_network(mode, symmetric, kind, step):
+    """forward_map's output is, bit for bit, the forward pass behind the
+    loss of loss_and_gradients and the held-out MSE of train: scored
+    against forward_map's output, both are exactly 0."""
+    from proxsure.network import forward_map
+    from proxsure.operators import apply_operator, dft_operator
+
+    if kind == "circular":
+        op = circular_operator(np.array([0.6, 0.25, 0.15]), n=8)
+    else:
+        op = dft_operator(8, [1, 2])
+
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((12, 8))
+    Y = apply_operator(op, X + 0.1 * rng.standard_normal(X.shape))
+    hidden = [6] if symmetric else [6, 4]
+    stack = random_stack(8, hidden, T=3, mode=mode, symmetric=symmetric, seed=3)
+    loss, _ = loss_and_gradients(stack, forward_map(stack, op, step)(Y), Y, op, step)
+    assert loss == 0.0
+
+    kwargs = dict(hidden=hidden, T=3, mode=mode, symmetric=symmetric, lr_grid=[1e-3],
+                  epochs=2, batch=4, seed=2)
+    first = train(X[:8], Y[:8], X[8:], Y[8:], op, step, **kwargs)
+    xhat = forward_map(first.stack, op, step)(Y[8:])
+    # the held-out truth only scores a run, so this run trains the same weights
+    assert train(X[:8], Y[:8], xhat, Y[8:], op, step, **kwargs).test_mse[-1] == 0.0
