@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -17,9 +18,9 @@ import numpy as np
 from . import data as datamod
 from .config import ExperimentConfig, build_dataset, build_operator, build_step, parse_config
 from .errors import ConfigError, ProxsureError
-from .jacobian import accumulate_jacobian, jacobian_report
-from .network import forward_map, load_stack, save_stack, unroll_forward
-from .risk import sure_report
+from .jacobian import jacobian_report
+from .network import load_stack, save_stack, unroll_forward
+from .risk import SureReport, evaluate_set, mse_psnr
 from .spectrum import spectrum, spectrum_csv
 from .sweep import cell_split, report_plots, run_sweep, train_cell
 from .verify import COMMANDS as VERIFY_COMMANDS
@@ -76,28 +77,27 @@ def _cmd_evaluate(args) -> int:
     step = build_step(cfg)
     sigma = cfg.sigma[0]
     test_set, y_test = cell_split(cfg, op, sigma, cfg.n_test, cfg.seeds[0], test=True)
-    h = forward_map(stack, op, step)
+    ev = evaluate_set(stack, op, step, y_test, sigma)
     reports = []
-    for i in range(test_set.N):
-        J = None
-        if op.m == op.n:
-            _, tr = unroll_forward(y_test[i], stack, op, step, record=True)
-            J = accumulate_jacobian(tr, stack, op, step)
-        reports.append(
-            sure_report(h, y_test[i], sigma, J=J, x_true=test_set.samples[i],
-                        primary_dof="exact" if J is not None else "fd")
-        )
+    for i, (xhat, x) in enumerate(zip(ev.xhat, test_set.samples)):
+        report = SureReport(n=op.m, sigma=sigma, rss=float(ev.rss[i]),
+                            output_norm=float(np.linalg.norm(xhat)))
+        if ev.dof is not None:
+            report.dof_exact = float(ev.dof[i])
+        if ev.sure is not None:
+            report.sure = float(ev.sure[i])
+        report.mse_vs_truth, report.psnr = mse_psnr(xhat, x)
+        reports.append(report)
     mean = {
         "n_test": len(reports),
         "sigma": sigma,
-        "rss_mean": float(np.mean([r.rss for r in reports])),
-        "sure_mean": float(np.mean([r.sure for r in reports])),
+        "rss_mean": float(np.mean(ev.rss)),
+        "sure_mean": None if ev.sure is None else float(np.mean(ev.sure)),
         "mse_mean": float(np.mean([r.mse_vs_truth for r in reports])),
         "psnr_mean": float(np.mean([r.psnr for r in reports])),
     }
-    dofs = [r.dof_exact for r in reports if r.dof_exact is not None]
-    if dofs:
-        mean["dof_exact_mean"] = float(np.mean(dofs))
+    if ev.dof is not None:
+        mean["dof_exact_mean"] = float(np.mean(ev.dof))
     print(json.dumps(mean, sort_keys=True))
     if args.per_input:
         for r in reports:
@@ -114,11 +114,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     fn = VERIFY_COMMANDS[args.check]
-    kwargs = {}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.seed is not None and args.check in ("jacobian", "theorem1", "lemma3", "lemma4"):
-        kwargs["seed"] = args.seed
+    kwargs = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
+    params = inspect.signature(fn).parameters
+    unknown = [k for k in kwargs if k not in params]
+    if unknown:
+        print(f"usage error: verify {args.check} takes no --{unknown[0]}", file=sys.stderr)
+        return 1
     report = fn(**kwargs)
     print(report.to_json())
     if args.out:

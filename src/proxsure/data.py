@@ -137,9 +137,12 @@ def sample_correlation(dataset: Dataset) -> np.ndarray:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """SUND1 container: header, kind params, float64 payload, trailing CRC32."""
+    seed = dataset.seed
+    if not isinstance(seed, (int, np.integer)) or not -(2**63) <= seed < 2**63:
+        raise ValueError(f"SUND1 stores one int64 seed word; cannot store seed {seed!r}")
     body = [MAGIC, struct.pack("<2IB", dataset.n, dataset.N, _KIND_CODES[dataset.kind])]
     names = _PARAM_NAMES[dataset.kind]
-    body.append(struct.pack(_HEADER_TAIL[dataset.kind], dataset.seed,
+    body.append(struct.pack(_HEADER_TAIL[dataset.kind], seed,
                             *(dataset.params[k] for k in names)))
     body.append(np.ascontiguousarray(dataset.samples, dtype="<f8").tobytes())
     blob = b"".join(body)

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .jacobian import jacobian_trace_exact
+from .jacobian import (
+    dof_surrogate,
+    incoherence,
+    jacobian_trace_exact,
+    path_expansion,
+    theorem1_bound,
+)
+from .network import ForwardTrace, ProximalStack, frozen_mask_pass, unroll
+from .operators import SensingOperator, StepParams, apply_operator, operator_matrix, step_matrices
 
 
 def rss(y, xhat) -> float:
@@ -155,7 +163,7 @@ class SureReport:
 
     def to_json(self) -> str:
         def clean(v):
-            if v is None:
+            if v is None or (isinstance(v, float) and math.isnan(v)):
                 return None
             if isinstance(v, float) and math.isinf(v):
                 return "inf"
@@ -202,3 +210,66 @@ def sure_report(
     if x_true is not None:
         report.mse_vs_truth, report.psnr = mse_psnr(xhat, x_true)
     return report
+
+
+@dataclass
+class SetEvaluation:
+    """Outputs and risk terms of a network on B inputs; None and nan
+    mark what does not apply to the set (see evaluate_set)."""
+
+    xhat: np.ndarray  # (B, n)
+    rss: np.ndarray  # (B,), against y, or Phi^H y when m != n
+    dof: np.ndarray | None = None  # exact Jacobian traces
+    sure: np.ndarray | None = None
+    surrogate: np.ndarray | None = None  # path-sparsity sums
+    mu: float = math.nan
+    rho_max: float = math.nan  # largest mean per-iteration activation count
+    epsilon: float = math.nan  # mu * rho_max^(3/2)
+    bound: float = math.nan  # Theorem 1's bound at epsilon
+
+
+def evaluate_set(
+    stack: ProximalStack,
+    op: SensingOperator,
+    step: StepParams,
+    Y,
+    sigma: float | None = None,
+    max_T: int | None = None,
+) -> SetEvaluation:
+    """Evaluate the network on the rows of Y (B, m; one (m,) input is
+    one row) in one batched recorded forward; input i's DOF is the trace
+    of the frozen-mask pass on its recorded masks.
+
+    DOF needs a square Jacobian (m == n). SURE needs sigma and the
+    identity operator: it is unbiased only for y = x + v. The path
+    surrogate needs max_T and a path-analysable stack: K = 1, symmetric,
+    shared weights (ws) and T <= max_T, besides a square Jacobian.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    if Y.ndim != 2 or Y.shape[1] != op.m:
+        raise DimensionMismatchError("measurement set", op.m, Y.shape[-1])
+    G_x, G_y = step_matrices(op, step)
+    xhat, rec = unroll(Y, stack, op, G_x, G_y, record=True)
+    target = Y if op.m == op.n else apply_operator(op, Y, "adjoint")
+    ev = SetEvaluation(xhat, np.sum((xhat - target) ** 2, axis=1))
+    if op.m != op.n:
+        return ev
+    masks = [[[D[i] for _, D, _ in units] for _, units in rec] for i in range(len(Y))]
+    x0, r = operator_matrix(op).T, np.eye(op.m)
+    ev.dof = np.array(
+        [jacobian_trace_exact(frozen_mask_pass(m, stack, G_x, G_y, x0, r)) for m in masks]
+    )
+    if sigma is not None and op.kind == "identity":
+        ev.sure = sure(ev.rss, ev.dof, op.n, sigma)
+    if max_T is None or stack.K != 1 or not stack.symmetric or stack.mode != "ws" or stack.T > max_T:
+        return ev
+    ev.mu = incoherence(stack.weights[0][0][0])
+    rho = np.array([[m[t][0].sum() for t in range(stack.T)] for m in masks], dtype=float)
+    ev.surrogate = np.array([
+        dof_surrogate(path_expansion(ForwardTrace([], [], [], m), stack, max_T), stack.n, ev.mu, r)[0]
+        for m, r in zip(masks, rho)
+    ])
+    ev.rho_max = float((rho.sum(axis=0) / len(Y)).max())
+    ev.epsilon = float(ev.mu * ev.rho_max**1.5)
+    ev.bound = theorem1_bound(ev.epsilon, stack.T)
+    return ev

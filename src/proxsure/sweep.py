@@ -24,17 +24,9 @@ import numpy as np
 from . import data as datamod
 from .config import ExperimentConfig, build_dataset, build_operator, build_step, config_to_text
 from .errors import ProxsureError, TrainingFailureError
-from .jacobian import (
-    accumulate_jacobian,
-    dof_surrogate,
-    incoherence,
-    jacobian_trace_exact,
-    path_expansion,
-    theorem1_bound,
-)
-from .network import forward_map, unroll_forward
+from .network import forward_map
 from .operators import apply_operator
-from .risk import dof_monte_carlo, mse_psnr, sure
+from .risk import dof_monte_carlo, evaluate_set, mse_psnr
 from .train import train
 
 COLUMNS = [
@@ -67,7 +59,7 @@ COLUMN_DOCS = {
     "rss_mean": "mean squared residual ||h(y) - y||^2 over the test set",
     "dof_exact_mean": "mean Jacobian trace over the test set",
     "dof_mc_mean": "mean Monte-Carlo divergence estimate (nan if disabled)",
-    "sure_mean": "mean of -n sigma^2 + rss + 2 sigma^2 dof",
+    "sure_mean": "mean of -n sigma^2 + rss + 2 sigma^2 dof; nan unless the operator is the identity (SURE is unbiased only for y = x + v)",
     "mu_w": "largest off-diagonal inner product of the shared W",
     "rho_max": "largest mean per-iteration activation count",
     "epsilon": "mu_w * rho_max^(3/2)",
@@ -122,61 +114,23 @@ def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed:
         row["status"] = "training-failure"
         return row
 
-    stack = result.stack
-    h = forward_map(stack, op, step)
-    xhat = h(m_test)
-    mse, psnr = mse_psnr(xhat, test_set.samples)
-    row["test_mse"] = mse
-    row["psnr"] = psnr
-
-    n = cfg.n
-    if op.m == op.n:
-        rss_vals = np.sum((xhat - m_test) ** 2, axis=1)
-    else:
-        rss_vals = np.sum((xhat - apply_operator(op, m_test, "adjoint")) ** 2, axis=1)
-    row["rss_mean"] = float(rss_vals.mean())
-
-    dof_vals = []
-    surrogates = []
-    rho_sum = None
-    analyzable = (
-        cfg.model_symmetric
-        and len(cfg.model_hidden) == 1
-        and mode == "ws"
-        and cfg.model_iterations <= cfg.path_cap
-        and op.m == op.n
-    )
-    mu = incoherence(stack.weights[0][0][0]) if analyzable else math.nan
-    for i in range(len(m_test)):
-        _, tr = unroll_forward(m_test[i], stack, op, step, record=True)
-        J = accumulate_jacobian(tr, stack, op, step)
-        if op.m == op.n:
-            dof_vals.append(jacobian_trace_exact(J))
-        if analyzable:
-            terms = path_expansion(tr, stack, max_T=cfg.path_cap)
-            rho = np.array([tr.masks[t][0].sum() for t in range(stack.T)], dtype=float)
-            surrogates.append(dof_surrogate(terms, n, mu, rho)[0])
-            rho_sum = rho if rho_sum is None else rho_sum + rho
-    if dof_vals:
-        row["dof_exact_mean"] = float(np.mean(dof_vals))
-        row["sure_mean"] = float(
-            np.mean([sure(r, d, n, sigma) for r, d in zip(rss_vals, dof_vals)])
-        )
+    ev = evaluate_set(result.stack, op, step, m_test, sigma, max_T=cfg.path_cap)
+    row["test_mse"], row["psnr"] = mse_psnr(ev.xhat, test_set.samples)
+    row["rss_mean"] = float(ev.rss.mean())
+    if ev.dof is not None:
+        row["dof_exact_mean"] = float(np.mean(ev.dof))
+    if ev.sure is not None:
+        row["sure_mean"] = float(np.mean(ev.sure))
     if cfg.dof_estimator == "mc":
+        h = forward_map(result.stack, op, step)
         mc = [
             dof_monte_carlo(h, m_test[i], cfg.dof_probes, seed=seed ^ (i << 16))[0]
             for i in range(len(m_test))
         ]
         row["dof_mc_mean"] = float(np.mean(mc))
-    if analyzable and surrogates:
-        rho_mean = rho_sum / len(m_test)
-        rho_max = float(rho_mean.max())
-        eps = float(mu * rho_max**1.5)
-        row["mu_w"] = mu
-        row["rho_max"] = rho_max
-        row["epsilon"] = eps
-        row["dof_surrogate"] = float(np.mean(surrogates))
-        row["theorem1_bound"] = theorem1_bound(eps, stack.T)
+    if ev.surrogate is not None:
+        row.update(mu_w=ev.mu, rho_max=ev.rho_max, epsilon=ev.epsilon,
+                   dof_surrogate=float(np.mean(ev.surrogate)), theorem1_bound=ev.bound)
     return row
 
 

@@ -17,22 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from . import data as datamod
-from .jacobian import (
-    accumulate_jacobian,
-    dof_surrogate,
-    incoherence,
-    jacobian_trace_exact,
-    path_deviation_bound,
-    path_expansion,
-    theorem1_bound,
-)
-from .network import (
-    ForwardTrace,
-    ProximalStack,
-    forward_map,
-    random_stack,
-    unroll_forward,
-)
+from .jacobian import path_expansion
+from .network import ForwardTrace, ProximalStack, forward_map, random_stack, unroll_forward
 from .operators import (
     SensingOperator,
     StepParams,
@@ -40,7 +26,7 @@ from .operators import (
     dft_operator,
     identity_operator,
 )
-from .risk import dof_finite_difference, rss, sure
+from .risk import dof_finite_difference, evaluate_set
 from .train import (
     fixed_point_jacobian,
     mask_fixed_point,
@@ -112,7 +98,6 @@ def verify_jacobian(trials: int = 20, n: int = 16, seed: int = 0) -> VerifyRepor
         "ls": StepParams("ls", 0.5),
     }
     max_violation = 0.0
-    count = 0
     config_id = 0
     for op in ops.values():
         for step in steps.values():
@@ -126,16 +111,14 @@ def verify_jacobian(trials: int = 20, n: int = 16, seed: int = 0) -> VerifyRepor
                     )
                     rng = np.random.default_rng([seed, config_id])
                     h = forward_map(stack, op, step)
-                    for _ in range(trials):
-                        y = _sample_regular_input(stack, op, step, rng)
-                        _, tr = unroll_forward(y, stack, op, step, record=True)
-                        J = accumulate_jacobian(tr, stack, op, step)
-                        exact = jacobian_trace_exact(J)
+                    Y = np.array(
+                        [_sample_regular_input(stack, op, step, rng) for _ in range(trials)]
+                    ).reshape(trials, op.m)
+                    for y, exact in zip(Y, evaluate_set(stack, op, step, Y).dof):
                         fd = dof_finite_difference(h, y)
-                        rel = abs(exact - fd) / (1.0 + abs(exact))
+                        rel = float(abs(exact - fd) / (1.0 + abs(exact)))
                         max_violation = max(max_violation, rel)
-                        count += 1
-    return VerifyReport("jacobian", count, max_violation, tol, max_violation <= tol)
+    return VerifyReport("jacobian", trials * config_id, max_violation, tol, max_violation <= tol)
 
 
 def verify_theorem1(trials: int = 20, n: int = 16, max_T: int = 10, seed: int = 0) -> VerifyReport:
@@ -152,14 +135,10 @@ def verify_theorem1(trials: int = 20, n: int = 16, max_T: int = 10, seed: int = 
         W = Q.T
         stack = ProximalStack(n=n, T=T, mode="ws", symmetric=True,
                               weights=(((W, None),),))
-        y = rng.standard_normal(n)
-        _, tr = unroll_forward(y, stack, op, step, record=True)
-        J = accumulate_jacobian(tr, stack, op, step)
-        terms = path_expansion(tr, stack)
-        surrogate, _, bound, _ = dof_surrogate(terms, n, incoherence(W))
-        violation = abs(jacobian_trace_exact(J) - surrogate)
-        if bound != 0.0:
-            violation = max(violation, abs(bound))
+        ev = evaluate_set(stack, op, step, rng.standard_normal(n), max_T=T)
+        violation = float(abs(ev.dof[0] - ev.surrogate[0]))
+        if ev.bound != 0.0:
+            violation = max(violation, abs(ev.bound))
         max_violation = max(max_violation, violation)
     return VerifyReport("theorem1", trials, max_violation, tol, max_violation <= tol)
 
@@ -194,30 +173,17 @@ def verify_theorem1_trained(
                 op, step, hidden=[ell], T=T, mode="ws", symmetric=True,
                 lr_grid=[3e-3], epochs=30, batch=8, max_steps=1500, seed=seed,
             )
-            stack = result.stack
-            W = stack.weights[0][0][0]
-            mu = incoherence(W)
-            traces, surrogates = [], []
-            rho_sum = np.zeros(T)
-            for i in range(n_eval):
-                _, tr = unroll_forward(y_eval[i], stack, op, step, record=True)
-                J = accumulate_jacobian(tr, stack, op, step)
-                traces.append(jacobian_trace_exact(J))
-                rho = np.array([tr.masks[t][0].sum() for t in range(T)], dtype=float)
-                surrogates.append(dof_surrogate(path_expansion(tr, stack), n, mu, rho)[0])
-                rho_sum += rho
-            rho = rho_sum / n_eval
-            eps = float(mu * rho.max() ** 1.5)
-            deviation = abs(float(np.mean(traces)) - float(np.mean(surrogates)))
-            bound = theorem1_bound(eps, T)
+            ev = evaluate_set(result.stack, op, step, y_eval, max_T=T)
+            eps = ev.epsilon
+            deviation = abs(float(np.mean(ev.dof)) - float(np.mean(ev.surrogate)))
             row = {"seed": seed, "T": T, "epsilon": eps,
-                   "deviation": deviation, "bound": bound}
+                   "deviation": deviation, "bound": ev.bound}
             rows.append(row)
             if eps >= 1.0:
                 exempt += 1
                 continue
             checked += 1
-            max_violation = max(max_violation, deviation - bound)
+            max_violation = max(max_violation, deviation - ev.bound)
     if checked == 0:
         max_violation = 0.0
     return VerifyReport(
@@ -391,16 +357,14 @@ def verify_sure_unbiased(
         hidden=[2 * n], T=3, mode="ws", symmetric=True,
         lr_grid=[1e-3], epochs=40, batch=8, max_steps=2000, seed=seed,
     )
-    stack = result.stack
     x = test_set.samples[0]  # fixed unit-norm truth
     diffs = np.empty(draws)
-    for d in range(draws):
-        y = x + sigma * np.random.default_rng([seed, 40, d]).standard_normal(n)
-        xhat, tr = unroll_forward(y, stack, op, step, record=True)
-        J = accumulate_jacobian(tr, stack, op, step)
-        sure_val = sure(rss(y, xhat), float(np.trace(J)), n, sigma)
-        mse_val = float(np.sum((xhat - x) ** 2))
-        diffs[d] = sure_val - mse_val
+    # 128 draws per pass bound the batched forward's temporaries and record
+    for lo in range(0, draws, 128):
+        batch = range(lo, min(lo + 128, draws))
+        noise = np.array([np.random.default_rng([seed, 40, d]).standard_normal(n) for d in batch])
+        ev = evaluate_set(result.stack, op, step, x + sigma * noise, sigma)
+        diffs[batch] = ev.sure - np.sum((ev.xhat - x) ** 2, axis=1)
     mean_gap = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(draws))
     tol = 3.0 * se

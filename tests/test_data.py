@@ -159,3 +159,10 @@ def test_dataset_cut_anywhere_is_a_format_error(tmp_path, kind):
             expected = DatasetHeaderError if cut < len(MAGIC) else DatasetTruncatedError
             with pytest.raises(expected):
                 load_dataset(cut_path)
+
+
+def test_save_dataset_rejects_seed_outside_one_int64_word(tmp_path):
+    ds = generate_subspace_data(5, 2, 3, seed=(1, 2))
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        save_dataset(ds, tmp_path / "ds.bin")
+    assert not (tmp_path / "ds.bin").exists()

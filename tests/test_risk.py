@@ -122,3 +122,95 @@ def test_sure_report_json():
     assert payload["sure"] == pytest.approx(
         -n * 0.01 + rep.rss + 2 * 0.01 * 2.5
     )
+
+
+# --- evaluate_set against the per-input loop --------------------------------
+
+from proxsure.jacobian import (
+    accumulate_jacobian,
+    dof_surrogate,
+    incoherence,
+    jacobian_trace_exact,
+    path_expansion,
+)
+from proxsure.network import forward_map, random_stack, unroll_forward
+from proxsure.operators import (
+    StepParams,
+    apply_operator,
+    circular_operator,
+    dft_operator,
+    identity_operator,
+)
+from proxsure.risk import evaluate_set
+
+EVAL_N = 8
+EVAL_CASES = [
+    (identity_operator(EVAL_N), StepParams("gradient", 0.0)),
+    (circular_operator(np.array([0.6, 0.25, 0.15]), n=EVAL_N), StepParams("ls", 0.5)),
+    (dft_operator(EVAL_N, [1, 2]), StepParams("gradient", 0.1)),  # stacked m = n
+]
+EVAL_STACKS = [  # (hidden, mode, symmetric)
+    ([6], "ws", True),
+    ([6], "wc", True),
+    ([6, 4], "ws", False),
+    ([6], "wc", False),
+]
+
+
+@pytest.mark.parametrize("op, step", EVAL_CASES, ids=["identity", "circular-ls", "dft-gradient"])
+@pytest.mark.parametrize("hidden, mode, symmetric", EVAL_STACKS)
+def test_evaluate_set_matches_per_input_loop(op, step, hidden, mode, symmetric):
+    assert op.m == op.n
+    stack = random_stack(EVAL_N, hidden, T=3, mode=mode, symmetric=symmetric, seed=5)
+    Y = np.random.default_rng(3).standard_normal((6, op.m))
+    ev = evaluate_set(stack, op, step, Y, sigma=0.1, max_T=4)
+    assert np.array_equal(ev.xhat, forward_map(stack, op, step)(Y))
+    assert np.array_equal(ev.rss, np.sum((ev.xhat - Y) ** 2, axis=1))
+    analysable = mode == "ws" and symmetric and len(hidden) == 1
+    assert (ev.surrogate is not None) == analysable
+    mu = incoherence(stack.weights[0][0][0])
+    for i, y in enumerate(Y):
+        _, tr = unroll_forward(y, stack, op, step, record=True)
+        assert ev.dof[i] == jacobian_trace_exact(accumulate_jacobian(tr, stack, op, step))
+        if analysable:
+            assert ev.surrogate[i] == dof_surrogate(path_expansion(tr, stack), EVAL_N, mu)[0]
+    assert (ev.sure is not None) == (op.kind == "identity")
+    if analysable:
+        assert ev.mu == mu and math.isfinite(ev.epsilon) and math.isfinite(ev.bound)
+    else:
+        assert math.isnan(ev.epsilon) and math.isnan(ev.bound)
+
+
+def test_evaluate_set_without_square_jacobian_has_no_dof_or_sure():
+    op = dft_operator(EVAL_N, [1])
+    assert op.m != op.n
+    stack = random_stack(EVAL_N, [6], T=2, seed=1)
+    Y = np.random.default_rng(4).standard_normal((5, op.m))
+    ev = evaluate_set(stack, op, StepParams("gradient", 0.1), Y, sigma=0.1, max_T=4)
+    back = apply_operator(op, Y, "adjoint")
+    assert np.array_equal(ev.rss, np.sum((ev.xhat - back) ** 2, axis=1))
+    assert ev.dof is None and ev.surrogate is None and ev.sure is None
+
+
+def test_evaluate_set_path_cap_and_sure():
+    op = identity_operator(EVAL_N)
+    stack = random_stack(EVAL_N, [6], T=3, seed=2)
+    Y = np.random.default_rng(6).standard_normal((4, EVAL_N))
+    plain = evaluate_set(stack, op, StepParams(), Y)
+    assert plain.surrogate is None and plain.sure is None
+    assert evaluate_set(stack, op, StepParams(), Y, max_T=2).surrogate is None
+    ev = evaluate_set(stack, op, StepParams(), Y, sigma=0.2, max_T=3)
+    assert ev.surrogate.shape == (4,)
+    assert np.array_equal(ev.sure, [sure(r, d, EVAL_N, 0.2) for r, d in zip(ev.rss, ev.dof)])
+    with pytest.raises(DimensionMismatchError):
+        evaluate_set(stack, op, StepParams(), Y[:, :-1])
+
+
+def test_evaluate_set_takes_one_input_as_one_row():
+    op = identity_operator(EVAL_N)
+    stack = random_stack(EVAL_N, [6], T=2, seed=3)
+    y = np.random.default_rng(7).standard_normal(EVAL_N)
+    one = evaluate_set(stack, op, StepParams(), y, sigma=0.1, max_T=2)
+    row = evaluate_set(stack, op, StepParams(), y[None], sigma=0.1, max_T=2)
+    assert one.xhat.shape == (1, EVAL_N)
+    assert np.array_equal(one.dof, row.dof) and np.array_equal(one.surrogate, row.surrogate)

@@ -253,3 +253,88 @@ def test_cli_spectrum(tmp_path, capsys):
     # flat delta spectrum: disk holds 5/64 of the energy at pad 8
     assert payload["low_frequency_ratio"] == pytest.approx(5 / 64)
     assert os.path.exists(payload["grid"])
+
+
+# --- one evaluation pass per cell and per evaluate --------------------------
+
+import math  # noqa: E402
+
+DFT_CONFIG = TINY_CONFIG + 'operator.kind = "dft"\noperator.omega = [1]\n'
+CIRCULAR_CONFIG = TINY_CONFIG + 'operator.kind = "circular"\noperator.kernel = [0.6, 0.25, 0.15]\n'
+
+
+def test_run_cell_builds_step_matrices_once_to_train_and_once_to_evaluate(monkeypatch):
+    import sys
+
+    from proxsure import operators
+
+    original = operators.step_matrices
+    calls = []
+
+    def counting(op, step):
+        calls.append(op.kind)
+        return original(op, step)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("proxsure") and getattr(module, "step_matrices", None) is original:
+            monkeypatch.setattr(module, "step_matrices", counting)
+    row = sweep.run_cell(parse_config(TINY_CONFIG), "ws", 0.2, 8, 0)
+    assert row["status"] == "ok"
+    assert len(calls) == 2
+
+
+def test_circular_sweep_reports_dof_but_no_sure(tmp_path):
+    rows = read_csv(run_sweep(parse_config(CIRCULAR_CONFIG), tmp_path / "out"))
+    assert rows[0]["status"] == "ok"
+    assert math.isnan(float(rows[0]["sure_mean"]))
+    assert math.isfinite(float(rows[0]["dof_exact_mean"]))
+    assert math.isfinite(float(rows[0]["rss_mean"]))
+
+
+def test_cli_train_then_evaluate_with_m_not_n(tmp_path, capsys):
+    cfg = tmp_path / "dft.txt"
+    cfg.write_text(DFT_CONFIG)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    weights = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["weights"]
+    assert cli.main(["evaluate", weights, "--config", str(cfg), "--per-input"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    summary = json.loads(lines[0])
+    assert summary["n_test"] == 8 and summary["sure_mean"] is None
+    assert "dof_exact_mean" not in summary and math.isfinite(summary["rss_mean"])
+    per_input = [json.loads(line) for line in lines[1:]]
+    assert len(per_input) == 8
+    assert all(r["sure"] is None and r["dof_exact"] is None for r in per_input)
+
+
+def test_cli_evaluate_reports_sure_only_for_identity(tmp_path, tiny_cfg, capsys):
+    means = {}
+    for name, text in (("identity", TINY_CONFIG), ("circular", CIRCULAR_CONFIG)):
+        cfg = tmp_path / f"{name}.txt"
+        cfg.write_text(text)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        weights = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["weights"]
+        assert cli.main(["evaluate", weights, "--config", str(cfg)]) == 0
+        means[name] = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+    assert math.isfinite(means["identity"]["sure_mean"])
+    assert means["circular"]["sure_mean"] is None
+    assert math.isfinite(means["circular"]["dof_exact_mean"])
+
+
+def test_cli_verify_trials_on_command_without_trials_is_usage_error(capsys):
+    assert cli.main(["verify", "lemma2", "--trials", "2"]) == 1
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_cli_verify_forwards_seed_by_signature(monkeypatch):
+    from proxsure.verify import VerifyReport
+
+    seen = {}
+
+    def fake_sure_unbiased(n=64, sigma=0.1, draws=2000, rank=6, seed=0):
+        seen["seed"] = seed
+        return VerifyReport("sure-unbiased", 1, 0.0, 1.0, True)
+
+    monkeypatch.setitem(cli.VERIFY_COMMANDS, "sure-unbiased", fake_sure_unbiased)
+    assert cli.main(["verify", "sure-unbiased", "--seed", "3"]) == 0
+    assert seen == {"seed": 3}
