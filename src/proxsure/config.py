@@ -86,8 +86,8 @@ _SCHEMA = {
     "optimizer.max_steps": ("opt_max_steps", int, None, None),
     "seeds": ("seeds", list, lambda v: len(v) > 0 and all(isinstance(x, int) for x in v), "integer seeds"),
     "dof.estimator": ("dof_estimator", str, lambda v: v in ("exact", "fd", "mc"), "one of exact/fd/mc"),
-    # probe k of input i is seeded seed ^ k ^ (i << 16): more than 2**16
-    # probes would reuse the next input's seeds
+    # input i's probes are one draw from default_rng([seed, i]), distinct
+    # at any count; the cap bounds each input's (probes, n) forward batch
     "dof.probes": ("dof_probes", int, lambda v: 1 <= v <= 65536, "between 1 and 65536"),
     "path_cap": ("path_cap", int, lambda v: v >= 1, ">= 1"),
     "out": ("out", str, None, None),

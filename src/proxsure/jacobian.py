@@ -96,16 +96,8 @@ def _expansion_weights(trace: ForwardTrace, stack: ProximalStack):
             "path expansion needs shared weights across iterations"
         )
     W = stack.weights[0][0][0]
-    masks = [trace.masks[t][0].astype(np.float64) for t in range(stack.T)]
+    masks = np.array([trace.masks[t][0] for t in range(stack.T)], dtype=np.float64)
     return W, masks
-
-
-def path_deviation_bound(sparsities, mu: float) -> float:
-    """prod_l sqrt(s_l) (s_l - 1) mu over the hops of one path."""
-    bound = 1.0
-    for s in sparsities:
-        bound *= np.sqrt(s) * max(s - 1.0, 0.0) * mu
-    return float(bound)
 
 
 def path_expansion(
@@ -118,7 +110,7 @@ def path_expansion(
     Traces are evaluated on the l-by-l Gram matrix W W^H, which matches
     tr(J_I) by cyclicity and keeps the cost at O(2^T l^3).
     """
-    W, masks = _expansion_weights(trace, stack)
+    W, d = _expansion_weights(trace, stack)  # d: (T, l) 0/1 masks
     T = stack.T
     if T > max_T:
         raise PathCapExceededError(
@@ -127,28 +119,38 @@ def path_expansion(
     G = W @ W.T
     b = np.diag(G)
     mu = incoherence(W)
-    masked = [d[:, None] * G for d in masks]  # D_t G
-    sparsity = [float(d.sum()) for d in masks]
+    masked = d[:, :, None] * G  # D_t G
+    b_pow = [b**j for j in range(T + 1)]
+    sparsity = [float(s) for s in d.sum(axis=1)]
+    # deviation bound of a path: prod over its hops of sqrt(s) (s - 1) mu
+    hop = [float(np.sqrt(s) * max(s - 1.0, 0.0) * mu) for s in sparsity]
+
+    # Depth first over subsets J: the children {t} + J, t < min J, share
+    # J's product, P_{t+J} = P_J @ D_t G (associated left to right from
+    # the largest index), and joint mask; one batched matmul covers them.
+    shared = {(t,): (float(masked[t].trace()), float((d[t] * b).sum())) for t in range(T)}
+    todo = [((t,), masked[t], d[t]) for t in range(1, T)]
+    while todo:
+        subset, P, joint = todo.pop()
+        C, D = P @ masked[: subset[0]], joint * d[: subset[0]]
+        traces = np.trace(C, axis1=1, axis2=2).tolist()
+        sums = (D * b_pow[len(subset) + 1]).sum(axis=1).tolist()
+        for t in range(subset[0]):
+            shared[(t,) + subset] = (traces[t], sums[t])
+        todo.extend(((t,) + subset, C[t], D[t]) for t in range(1, subset[0]))
 
     terms = []
+    bound = {(): 1.0}  # hop factors multiplied in index order
     for j in range(1, T + 1):
         for subset in combinations(range(T), j):
-            P = masked[subset[-1]]
-            for t in reversed(subset[:-1]):
-                P = P @ masked[t]
-            trace_exact = float(np.trace(P))
-            joint = masks[subset[0]].copy()
-            for t in subset[1:]:
-                joint = joint * masks[t]
-            p = float(np.sum(joint * b**j))
-            s = tuple(sparsity[t] for t in subset)
+            bound[subset] = bound[subset[:-1]] * hop[subset[-1]]
             terms.append(
                 PathTerm(
                     index_set=tuple(t + 1 for t in subset),
-                    trace_exact=trace_exact,
-                    path_sparsity=p,
-                    deviation_bound=path_deviation_bound(s, mu),
-                    sparsities=s,
+                    trace_exact=shared[subset][0],
+                    path_sparsity=shared[subset][1],
+                    deviation_bound=bound[subset],
+                    sparsities=tuple(sparsity[t] for t in subset),
                 )
             )
     return terms

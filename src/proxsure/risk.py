@@ -75,13 +75,13 @@ def dof_monte_carlo(
     K: int,
     delta: float | None = None,
     probe_dist: str = "rademacher",
-    seed: int = 0,
+    seed: int | list[int] = 0,
 ):
     """Probe estimator (1/K) sum_k e_k^T [h(y + d e_k) - h(y)] / d.
 
-    Probe k is drawn from a generator seeded with seed XOR k, so the
-    estimate is deterministic and order-independent. Returns
-    (estimate, standard error).
+    The probes are the rows of one (K, n) draw from default_rng(seed)
+    (an int or a sequence of ints). The draw is prefix-stable: probe k
+    is the same for every K > k. Returns (estimate, standard error).
     """
     if K < 1:
         raise ValueError("need at least one probe")
@@ -91,13 +91,11 @@ def dof_monte_carlo(
     n = y.shape[-1]
     if delta is None:
         delta = default_mc_delta(y)
-    probes = np.empty((K, n))
-    for k in range(K):
-        rng = np.random.default_rng(seed ^ k)
-        if probe_dist == "rademacher":
-            probes[k] = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        else:
-            probes[k] = rng.standard_normal(n)
+    rng = np.random.default_rng(seed)
+    if probe_dist == "rademacher":
+        probes = rng.integers(0, 2, size=(K, n)) * 2.0 - 1.0
+    else:
+        probes = rng.standard_normal((K, n))
     base = h(y)
     diffs = (h(y[None, :] + delta * probes) - base) / delta
     if not np.all(np.isfinite(diffs)):

@@ -123,10 +123,7 @@ def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed:
         row["sure_mean"] = float(np.mean(ev.sure))
     if cfg.dof_estimator == "mc":
         h = forward_map(result.stack, op, step)
-        mc = [
-            dof_monte_carlo(h, m_test[i], cfg.dof_probes, seed=seed ^ (i << 16))[0]
-            for i in range(len(m_test))
-        ]
+        mc = [dof_monte_carlo(h, y, cfg.dof_probes, seed=[seed, i])[0] for i, y in enumerate(m_test)]
         row["dof_mc_mean"] = float(np.mean(mc))
     if ev.surrogate is not None:
         row.update(mu_w=ev.mu, rho_max=ev.rho_max, epsilon=ev.epsilon,

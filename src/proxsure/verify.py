@@ -18,13 +18,14 @@ import numpy as np
 
 from . import data as datamod
 from .jacobian import path_expansion
-from .network import ForwardTrace, ProximalStack, forward_map, random_stack, unroll_forward
+from .network import ForwardTrace, ProximalStack, forward_map, random_stack, unroll
 from .operators import (
     SensingOperator,
     StepParams,
     circular_operator,
     dft_operator,
     identity_operator,
+    step_matrices,
 )
 from .risk import dof_finite_difference, evaluate_set
 from .train import (
@@ -57,22 +58,25 @@ class VerifyReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _sample_regular_inputs(stack, op, step, rng, count, margin=1e-4, attempts=50):
+    """count random inputs whose pre-activations stay away from the ReLU
+    boundary; an input falls back to its last draw after `attempts`."""
+    G_x, G_y = step_matrices(op, step)
+    Y = np.empty((count, op.m))
+    for y in Y:
+        for _ in range(attempts):
+            y[:] = rng.standard_normal(op.m)
+            _, rec = unroll(y, stack, op, G_x, G_y, record=True)
+            if min(np.abs(h @ (W if Wbar is None else Wbar).T).min()
+                   for t, (_, units) in enumerate(rec)
+                   for (h, _, _), (W, Wbar) in zip(units, stack.layer_weights(t))) > margin:
+                break
+    return Y
+
+
 def _sample_regular_input(stack, op, step, rng, margin=1e-4, attempts=50):
     """Random input whose pre-activations stay away from the ReLU boundary."""
-    for _ in range(attempts):
-        y = rng.standard_normal(op.m)
-        _, tr = unroll_forward(y, stack, op, step, record=True)
-        margins = [np.abs(tr.layer_inputs[t][k] @ _pre_matrix(stack, t, k).T).min()
-                   for t in range(stack.T)
-                   for k in range(stack.K)]
-        if min(margins) > margin:
-            return y
-    return y  # fall back to the last draw
-
-
-def _pre_matrix(stack, t, k):
-    W, Wbar = stack.layer_weights(t)[k]
-    return W if Wbar is None else Wbar
+    return _sample_regular_inputs(stack, op, step, rng, 1, margin, attempts)[0]
 
 
 def _square_dft(n: int) -> SensingOperator:
@@ -111,9 +115,7 @@ def verify_jacobian(trials: int = 20, n: int = 16, seed: int = 0) -> VerifyRepor
                     )
                     rng = np.random.default_rng([seed, config_id])
                     h = forward_map(stack, op, step)
-                    Y = np.array(
-                        [_sample_regular_input(stack, op, step, rng) for _ in range(trials)]
-                    ).reshape(trials, op.m)
+                    Y = _sample_regular_inputs(stack, op, step, rng, trials)
                     for y, exact in zip(Y, evaluate_set(stack, op, step, Y).dof):
                         fd = dof_finite_difference(h, y)
                         rel = float(abs(exact - fd) / (1.0 + abs(exact)))

@@ -1,8 +1,12 @@
+import gc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from proxsure.errors import PathCapExceededError, UnsupportedArchitectureError
 from proxsure.jacobian import (
+    PathTerm,
     accumulate_jacobian,
     dof_surrogate,
     incoherence,
@@ -179,3 +183,96 @@ def test_path_deviation_helper():
     (term,) = path_expansion(tr, stack)
     dev, bound, ok = path_deviation(term)
     assert dev <= 1e-12 and ok
+
+
+def _reference_path_expansion(trace, stack):
+    """Per-subset reference: every subset's product, joint mask and
+    deviation bound built anew."""
+    W = stack.weights[0][0][0]
+    masks = [trace.masks[t][0].astype(np.float64) for t in range(stack.T)]
+    T = stack.T
+    G = W @ W.T
+    b = np.diag(G)
+    mu = incoherence(W)
+    masked = [d[:, None] * G for d in masks]  # D_t G
+    sparsity = [float(d.sum()) for d in masks]
+
+    def path_deviation_bound(sparsities, mu):
+        bound = 1.0
+        for s in sparsities:
+            bound *= np.sqrt(s) * max(s - 1.0, 0.0) * mu
+        return float(bound)
+
+    terms = []
+    for j in range(1, T + 1):
+        for subset in combinations(range(T), j):
+            P = masked[subset[-1]]
+            for t in reversed(subset[:-1]):
+                P = P @ masked[t]
+            trace_exact = float(np.trace(P))
+            joint = masks[subset[0]].copy()
+            for t in subset[1:]:
+                joint = joint * masks[t]
+            p = float(np.sum(joint * b**j))
+            s = tuple(sparsity[t] for t in subset)
+            terms.append(
+                PathTerm(
+                    index_set=tuple(t + 1 for t in subset),
+                    trace_exact=trace_exact,
+                    path_sparsity=p,
+                    deviation_bound=path_deviation_bound(s, mu),
+                    sparsities=s,
+                )
+            )
+    return terms
+
+
+def _random_masked_net(rng, T, ell, n, scale=1.0):
+    W = scale * rng.standard_normal((ell, n))
+    masks = [rng.random(ell) < 0.6 for _ in range(T)]
+    return stack_for(W, T), trace_from_masks(masks)
+
+
+@pytest.mark.parametrize("T", range(1, 15))
+def test_path_expansion_bit_identical_to_per_subset_products(T):
+    rng = np.random.default_rng([21, T])
+    ell = 12 if T <= 8 else max(2, 16 - T)
+    stack, tr = _random_masked_net(rng, T, ell, ell + int(rng.integers(0, 4)))
+    # repr tells -0.0 from 0.0, which == does not
+    got = [repr(t) for t in path_expansion(tr, stack)]
+    want = [repr(t) for t in _reference_path_expansion(tr, stack)]
+    assert len(got) == len(want) == 2**T - 1
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, f"{len(bad)} terms differ, first {got[bad[0]]} vs {want[bad[0]]}"
+
+
+def test_path_sparsity_alternating_sum_matches_closed_form():
+    # sum_I (-1)^|I| d_I b^|I| over nonempty I factors per unit i into
+    # prod_t (1 - d_{t,i} b_i) - 1
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        T = int(rng.integers(1, 11))
+        ell = int(rng.integers(1, 9))
+        n = ell + int(rng.integers(0, 5))
+        stack, tr = _random_masked_net(rng, T, ell, n, scale=1.0 / np.sqrt(n))
+        terms = path_expansion(tr, stack)
+        enumerated = n + sum((-1.0) ** len(t.index_set) * t.path_sparsity for t in terms)
+        b = norm_matrix_b(stack.weights[0][0][0])
+        d = np.array([m[0] for m in tr.masks], dtype=np.float64)
+        closed = n + float(np.sum(np.prod(1.0 - d * b, axis=0) - 1.0))
+        assert abs(enumerated - closed) <= 1e-10 * max(1.0, abs(closed))
+
+
+def test_path_expansion_leaves_no_garbage_cycles():
+    # a walk that keeps its state in a self-referencing closure holds every
+    # call's subset table until a full collection
+    stack, tr = _random_masked_net(np.random.default_rng(23), 8, 6, 8)
+    gc.collect()
+    gc.disable()
+    try:
+        terms = path_expansion(tr, stack)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(terms) == 2**8 - 1
+    assert unreachable == 0

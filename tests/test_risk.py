@@ -214,3 +214,31 @@ def test_evaluate_set_takes_one_input_as_one_row():
     row = evaluate_set(stack, op, StepParams(), y[None], sigma=0.1, max_T=2)
     assert one.xhat.shape == (1, EVAL_N)
     assert np.array_equal(one.dof, row.dof) and np.array_equal(one.surrogate, row.surrogate)
+
+
+@pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
+def test_mc_probe_rows_are_prefix_stable_across_probe_counts(dist):
+    n = 5
+    batches = []
+
+    def h(v):
+        if v.ndim == 2:
+            batches.append(v.copy())
+        return v
+
+    # y = 0 and delta = 1 make the probe batch the probes themselves
+    for K in (8, 64):
+        dof_monte_carlo(h, np.zeros(n), K, delta=1.0, probe_dist=dist, seed=[5, 2])
+    small, large = batches
+    assert small.shape == (8, n) and large.shape == (64, n)
+    assert np.array_equal(small, large[:8])
+    assert len(np.unique(large, axis=0)) > 8
+    if dist == "rademacher":
+        assert set(np.unique(large)) == {-1.0, 1.0}
+
+
+def test_mc_probes_are_one_draw_from_the_seeded_generator():
+    batches = []
+    dof_monte_carlo(lambda v: batches.append(v) or v, np.zeros(3), 16, delta=1.0, seed=9)
+    expected = np.random.default_rng(9).integers(0, 2, size=(16, 3)) * 2.0 - 1.0
+    assert np.array_equal(batches[-1], expected)

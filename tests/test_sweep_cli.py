@@ -338,3 +338,42 @@ def test_cli_verify_forwards_seed_by_signature(monkeypatch):
     monkeypatch.setitem(cli.VERIFY_COMMANDS, "sure-unbiased", fake_sure_unbiased)
     assert cli.main(["verify", "sure-unbiased", "--seed", "3"]) == 0
     assert seen == {"seed": 3}
+
+
+def test_run_cell_seeds_each_inputs_probes_by_cell_seed_and_index(monkeypatch):
+    # an XOR-combined seed such as seed ^ (i << 16) would give cell seed
+    # 65536 input 0 the probes of cell seed 0 input 1
+    seeds = []
+    original = sweep.dof_monte_carlo
+
+    def recording(h, y, K, **kwargs):
+        seeds.append(kwargs["seed"])
+        return original(h, y, K, **kwargs)
+
+    monkeypatch.setattr(sweep, "dof_monte_carlo", recording)
+    cfg = parse_config(TINY_CONFIG + 'dof.estimator = "mc"\ndof.probes = 4\n')
+    for seed in (0, 65536):
+        row = sweep.run_cell(cfg, "ws", 0.2, 8, seed)
+        assert row["status"] == "ok" and math.isfinite(row["dof_mc_mean"])
+    assert seeds == [[seed, i] for seed in (0, 65536) for i in range(cfg.n_test)]
+
+
+def test_verify_jacobian_builds_step_matrices_once_per_use_per_configuration(monkeypatch):
+    import sys
+
+    from proxsure import operators, verify
+
+    original = operators.step_matrices
+    calls = []
+
+    def counting(op, step):
+        calls.append(op.kind)
+        return original(op, step)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("proxsure") and getattr(module, "step_matrices", None) is original:
+            monkeypatch.setattr(module, "step_matrices", counting)
+    report = verify.verify_jacobian(trials=3)
+    assert report.passed
+    # 24 configurations, each: sampling its inputs, evaluate_set, forward_map
+    assert len(calls) == 24 * 3
