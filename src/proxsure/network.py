@@ -129,7 +129,8 @@ def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool 
     """The forward kernel: x^0 = Phi^H y, then per iteration the data step
     s = G_x x + G_y y followed by the residual units.
 
-    y is (m,) or a batch (B, m); (G_x, G_y) come from step_matrices.
+    y is (m,) or a batch (B, m); (G_x, G_y) come from step_matrices,
+    and (None, None) means the data step is the identity map s = x.
     Returns (x^T, record): record is None unless asked for, else one
     (x_in, units) tuple per iteration with units[k] = (h, D, a) the
     input, mask and ReLU output of unit k.
@@ -137,7 +138,7 @@ def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool 
     x = apply_operator(op, y, "adjoint")
     rec = [] if record else None
     for t in range(stack.T):
-        h = x @ G_x.T + y @ G_y.T
+        h = x if G_x is None else x @ G_x.T + y @ G_y.T
         units = []
         for W, Wbar in stack.layer_weights(t):
             h_next, D, a = _unit(h, W, Wbar)
@@ -200,9 +201,11 @@ def frozen_mask_pass(masks, stack: ProximalStack, G_x, G_y, x, r) -> np.ndarray:
     x <- stage_K ... stage_1 (G_x x + G_y r), on columns of x and r.
 
     On (Phi^H y, y) it replays x^T; on (Phi^H, I) it is d x^T / d y.
+    (G_x, G_y) = (None, None) skips the data step, the identity map.
     """
     for t in range(stack.T):
-        x = G_x @ x + G_y @ r
+        if G_x is not None:
+            x = G_x @ x + G_y @ r
         for (W, Wbar), mask in zip(stack.layer_weights(t), masks[t]):
             x = stage_matrix(W, Wbar, mask) @ x
     return x

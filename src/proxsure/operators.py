@@ -210,7 +210,11 @@ def least_squares_step(x, y, op: SensingOperator, alpha: float, kind: str = "mix
 
 
 def step_matrices(op: SensingOperator, step: StepParams):
-    """Jacobians (G_x, G_y) of the data-consistency step s = G_x x + G_y y."""
+    """Jacobians (G_x, G_y) of the data-consistency step s = G_x x + G_y y,
+    or (None, None) when the step is the identity map s = x (`gradient` or
+    `ls` with alpha = 0, on any operator), which the kernels then skip."""
+    if step.alpha == 0.0 and step.kind in ("gradient", "ls"):
+        return None, None
     n = op.n
     eye = np.eye(n)
     adj = operator_matrix(op).T  # n x m

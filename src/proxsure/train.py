@@ -101,7 +101,8 @@ def loss_and_gradients(
                 grads[i] = grads[i] + a.T @ g
                 grads[i + 1] = grads[i + 1] + dz.T @ h_in
                 g = g + dz @ Wbar
-        g = g @ G_x
+        if t > 0 and G_x is not None:
+            g = g @ G_x
     return loss, grads
 
 

@@ -79,8 +79,17 @@ def test_minimal_empty_config():
 
 
 def test_dof_probes_capped_below_seed_aliasing():
-    # input i seeds its probes seed ^ (i << 16) ^ k, so k must stay below 2**16
+    # input i's probes are one (probes, n) draw from default_rng([seed, i]);
+    # the cap bounds that batch
     assert parse_config("dof.probes = 65536\n").dof_probes == 65536
     with pytest.raises(ConfigError) as err:
         parse_config("dof.probes = 65537\n")
     assert "dof.probes" in str(err.value)
+
+
+def test_negative_seed_names_field():
+    # every generator seeded from a sweep seed rejects negative integers
+    assert parse_config("seeds = [0, 3]\n").seeds == [0, 3]
+    with pytest.raises(ConfigError) as err:
+        parse_config("seeds = [2, -1]\n")
+    assert "seeds" in str(err.value)

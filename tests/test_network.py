@@ -205,3 +205,36 @@ def test_weight_container_cut_anywhere_is_a_format_error(tmp_path, mode, symmetr
         path.write_bytes(blob[:cut])
         with pytest.raises(DatasetFormatError):
             load_stack(path)
+
+
+def _explicit_identity_step(op):
+    return np.eye(op.n), np.zeros((op.n, op.m))
+
+
+@pytest.mark.parametrize("mode", ["ws", "wc"])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("op", [identity_operator(6),
+                                circular_operator(np.array([0.6, 0.25, 0.15]), n=6)],
+                         ids=lambda o: o.kind)
+def test_skipped_data_step_matches_explicit_identity_matrices(mode, symmetric, op):
+    """(None, None) skips the data step; the kernel, its record and the
+    frozen-mask pass come out byte for byte as with G_x = I, G_y = 0."""
+    from proxsure.network import frozen_mask_pass, unroll
+    from proxsure.operators import apply_operator, operator_matrix
+
+    stack = random_stack(6, [5, 3], T=3, mode=mode, symmetric=symmetric, seed=4)
+    Y = np.random.default_rng(5).standard_normal((7, op.m))
+    got_x, got_rec = unroll(Y, stack, op, None, None, record=True)
+    want_x, want_rec = unroll(Y, stack, op, *_explicit_identity_step(op), record=True)
+    assert got_x.tobytes() == want_x.tobytes()
+    for (x_got, units_got), (x_want, units_want) in zip(got_rec, want_rec, strict=True):
+        assert x_got.tobytes() == x_want.tobytes()
+        for got, want in zip(units_got, units_want, strict=True):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+    masks = [[D[0] for _, D, _ in units] for _, units in got_rec]
+    for x0, r in [(apply_operator(op, Y[0], "adjoint"), Y[0]),
+                  (operator_matrix(op).T, np.eye(op.m))]:
+        got = frozen_mask_pass(masks, stack, None, None, x0, r)
+        want = frozen_mask_pass(masks, stack, *_explicit_identity_step(op), x0, r)
+        assert got.tobytes() == want.tobytes()

@@ -171,3 +171,16 @@ def test_batched_apply_matches_loop():
     batched = apply_operator(op, U)
     for i in range(4):
         assert np.allclose(batched[i], apply_operator(op, U[i]))
+
+
+@pytest.mark.parametrize("op", all_operators(), ids=lambda o: o.kind)
+@pytest.mark.parametrize("kind", ["gradient", "ls"])
+def test_zero_alpha_step_is_the_identity_map(op, kind):
+    """gradient and ls at alpha = 0 are s = x on every operator, so
+    step_matrices reports no matrices and the kernels skip the step."""
+    step = StepParams(kind, 0.0)
+    assert step_matrices(op, step) == (None, None)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(op.n)
+    y = rng.standard_normal(op.m)
+    assert apply_step(x, y, op, step).tobytes() == x.tobytes()

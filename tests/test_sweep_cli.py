@@ -377,3 +377,11 @@ def test_verify_jacobian_builds_step_matrices_once_per_use_per_configuration(mon
     assert report.passed
     # 24 configurations, each: sampling its inputs, evaluate_set, forward_map
     assert len(calls) == 24 * 3
+
+
+def test_cli_negative_seed_is_config_error_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("seeds = [-1]\n")
+    assert cli.main(["sweep", "--config", str(bad), "--out", str(tmp_path / "s")]) == 1
+    assert "seeds" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()

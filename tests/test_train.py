@@ -376,3 +376,23 @@ def test_evaluation_and_training_see_the_same_network(mode, symmetric, kind, ste
     xhat = forward_map(first.stack, op, step)(Y[8:])
     # the held-out truth only scores a run, so this run trains the same weights
     assert train(X[:8], Y[:8], xhat, Y[8:], op, step, **kwargs).test_mse[-1] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["ws", "wc"])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_skipped_data_step_gives_the_same_loss_and_gradients(mode, symmetric):
+    """With (None, None) the backward pass skips g @ G_x; loss and every
+    gradient match the explicit G_x = I, G_y = 0 byte for byte."""
+    n = 6
+    op = identity_operator(n)
+    step = StepParams("gradient", 0.0)
+    x, y = _toy_problem(seed=8, N=9, n=n)
+    stack = random_stack(n, [5, 3], T=3, mode=mode, symmetric=symmetric, seed=6)
+    loss, grads = loss_and_gradients(stack, x, y, op, step, (None, None))
+    want_loss, want_grads = loss_and_gradients(
+        stack, x, y, op, step, (np.eye(n), np.zeros((n, n)))
+    )
+    assert loss == want_loss
+    assert len(grads) == len(want_grads)
+    for a, b in zip(grads, want_grads):
+        assert a.tobytes() == b.tobytes()
