@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,15 +103,88 @@ def _expansion_weights(trace: ForwardTrace, stack: ProximalStack):
     return W, masks
 
 
+# Bytes of l-by-l products that a level-by-level expansion may keep alive.
+_PRODUCT_BUDGET = 4 << 20
+
+
+class _Level(NamedTuple):
+    """The j-subsets s of range(T), in combinations order."""
+
+    idx: np.ndarray  # (N, j) indices
+    masks: np.ndarray  # (N,) bitmasks
+    prefix: np.ndarray  # (N,) row of s[:-1] in level j - 1 (row 0 of level 0 is ())
+    index_sets: tuple  # 1-based tuples
+
+
+@lru_cache(maxsize=DEFAULT_PATH_CAP + 1)
+def _subset_levels(T: int) -> tuple[_Level, ...]:
+    """Levels 1..T of the subsets of range(T), built once per T."""
+    rank = np.zeros(1 << T, dtype=np.intp)  # row of a bitmask within its level
+    levels = []
+    for j in range(1, T + 1):
+        subsets = list(combinations(range(T), j))
+        idx = np.array(subsets, dtype=np.intp)
+        masks = (1 << idx).sum(axis=1)
+        rank[masks] = np.arange(len(subsets))
+        prefix = rank[masks ^ (1 << idx[:, -1])]
+        for a in (idx, masks, prefix):
+            a.flags.writeable = False  # shared by every caller
+        levels.append(_Level(idx, masks, prefix, tuple(tuple(t + 1 for t in s) for s in subsets)))
+    return tuple(levels)
+
+
+def _expand(traces, masked, P, high, budget):
+    """Store tr P_{I+J} in traces[I | J] for every nonempty I within
+    range(m), given P[t] = P_{t+J} for t < m; J is the bitmask `high`,
+    all of whose indices are >= m, and P_{t+J} = P_J @ D_t G.
+
+    Level k of the I's is built from level k - 1: the k-subsets with head
+    t are (t,) + I' for the I' of level k - 1 with min I' > t, a suffix of
+    that level in the same order, so each (level, head) is one product
+    with a shared right factor. A level keeps only the products of heads
+    >= 1, the only ones with children. While two of the widest such
+    levels would exceed `budget` bytes, the children t + J of J are
+    expanded one at a time instead (depth first over the high index).
+    """
+    m = len(P)
+    levels = _subset_levels(m)
+    traces[levels[0].masks | high] = np.trace(P, axis1=1, axis2=2)
+    if 2 * comb(m - 1, (m - 1) // 2) * P[0].nbytes > budget:
+        for t in range(1, m):
+            child = P[t] @ masked[:t]
+            _expand(traces, masked, child, high | 1 << t, budget - child.nbytes)
+        return
+    kept = P[1:]
+    for k, level in enumerate(levels[1:], 2):
+        head0 = len(kept)
+        traces[level.masks[:head0] | high] = np.trace(kept @ masked[0], axis1=1, axis2=2)
+        heads = np.empty((comb(m - 1, k),) + P.shape[1:])
+        row = 0
+        for t in range(1, m - k + 1):
+            rows = comb(m - 1 - t, k - 1)
+            np.matmul(kept[head0 - rows:], masked[t], out=heads[row : row + rows])
+            row += rows
+        traces[level.masks[head0:] | high] = np.trace(heads, axis1=1, axis2=2)
+        kept = heads
+
+
 def path_expansion(
     trace: ForwardTrace,
     stack: ProximalStack,
     max_T: int = DEFAULT_PATH_CAP,
 ) -> list[PathTerm]:
-    """Enumerate all 2^T - 1 nonempty iteration subsets.
+    """Enumerate all 2^T - 1 nonempty iteration subsets, in
+    combinations order (by size, then lexicographically).
 
     Traces are evaluated on the l-by-l Gram matrix W W^H, which matches
-    tr(J_I) by cyclicity and keeps the cost at O(2^T l^3).
+    tr(J_I) by cyclicity. Each subset's product P_I, associated left to
+    right from its largest index, costs one l x l product: subsets are
+    expanded level by level with one batched product per (subset size,
+    smallest index), while two levels of products fit in a 4 MiB budget;
+    above that the largest indices are walked depth first, one batch of
+    at most T products per depth. Joint masks and deviation bounds grow
+    from each subset's prefix I[:-1] in index order, one elementwise
+    product per subset size.
     """
     W, d = _expansion_weights(trace, stack)  # d: (T, l) 0/1 masks
     T = stack.T
@@ -120,39 +196,26 @@ def path_expansion(
     b = np.diag(G)
     mu = incoherence(W)
     masked = d[:, :, None] * G  # D_t G
-    b_pow = [b**j for j in range(T + 1)]
-    sparsity = [float(s) for s in d.sum(axis=1)]
+    traces = np.empty(1 << T)  # by subset bitmask
+    _expand(traces, masked, masked, 0, _PRODUCT_BUDGET - masked.nbytes)
+    del masked
+    sparsity = d.sum(axis=1)
     # deviation bound of a path: prod over its hops of sqrt(s) (s - 1) mu
-    hop = [float(np.sqrt(s) * max(s - 1.0, 0.0) * mu) for s in sparsity]
-
-    # Depth first over subsets J: the children {t} + J, t < min J, share
-    # J's product, P_{t+J} = P_J @ D_t G (associated left to right from
-    # the largest index), and joint mask; one batched matmul covers them.
-    shared = {(t,): (float(masked[t].trace()), float((d[t] * b).sum())) for t in range(T)}
-    todo = [((t,), masked[t], d[t]) for t in range(1, T)]
-    while todo:
-        subset, P, joint = todo.pop()
-        C, D = P @ masked[: subset[0]], joint * d[: subset[0]]
-        traces = np.trace(C, axis1=1, axis2=2).tolist()
-        sums = (D * b_pow[len(subset) + 1]).sum(axis=1).tolist()
-        for t in range(subset[0]):
-            shared[(t,) + subset] = (traces[t], sums[t])
-        todo.extend(((t,) + subset, C[t], D[t]) for t in range(1, subset[0]))
-
+    hop = np.sqrt(sparsity) * np.maximum(sparsity - 1.0, 0.0) * mu
+    joint, bound = np.ones((1, d.shape[1])), np.ones(1)
     terms = []
-    bound = {(): 1.0}  # hop factors multiplied in index order
-    for j in range(1, T + 1):
-        for subset in combinations(range(T), j):
-            bound[subset] = bound[subset[:-1]] * hop[subset[-1]]
-            terms.append(
-                PathTerm(
-                    index_set=tuple(t + 1 for t in subset),
-                    trace_exact=shared[subset][0],
-                    path_sparsity=shared[subset][1],
-                    deviation_bound=bound[subset],
-                    sparsities=tuple(sparsity[t] for t in subset),
-                )
-            )
+    for j, level in enumerate(_subset_levels(T), 1):
+        last = level.idx[:, -1]
+        joint = joint[level.prefix] * d[last]
+        bound = bound[level.prefix] * hop[last]
+        terms += map(
+            PathTerm,
+            level.index_sets,
+            traces[level.masks].tolist(),
+            (joint * b**j).sum(axis=1).tolist(),
+            bound.tolist(),
+            map(tuple, sparsity[level.idx].tolist()),
+        )
     return terms
 
 

@@ -327,7 +327,7 @@ class FixedPointResult:
     converged: bool
     iterations: int
     projector_residual: float
-    tail_margin: float  # min |pre-activation| over the tail window
+    tail_margin: float  # min |pre-activation| off the support over the tail window
 
 
 def mask_fixed_point(
@@ -374,7 +374,10 @@ def mask_fixed_point(
         target = proj @ np.asarray(y, dtype=np.float64)
     else:
         target = np.asarray(y, dtype=np.float64)
-    tail_margin = float(min(z.min() for z in tail_z)) if len(W) else np.inf
+    # support rows' pre-activations go to 0 by construction; the margin
+    # that matters is how far the other rows stay from turning on
+    off = ~mask
+    tail_margin = float(min(z[off].min() for z in tail_z)) if off.any() else np.inf
     return FixedPointResult(
         x=x,
         support=support,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -253,17 +253,17 @@ def brute_force_subset_objective(C: np.ndarray, sigma2: float):
     explicit projector evaluation. Returns (best objective, best subset)."""
     n = C.shape[0]
     eigvals, eigvecs = np.linalg.eigh(C)
-    best = (0.0, ())
+    best = (0.0, ())  # the empty subset
     target = C - sigma2 * np.eye(n)
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            if not subset:
-                obj = 0.0
-            else:
-                V = eigvecs[:, list(subset)]
-                obj = float(np.trace(V @ (V.T @ target)))
-            if obj < best[0] - 1e-15:
-                best = (obj, subset)
+    for size in range(1, n + 1):
+        subsets = combinations(range(n), size)
+        # 256 subsets per batch bound the (c, n, size) and (c, n, n) temporaries
+        while chunk := list(islice(subsets, 256)):
+            V = np.ascontiguousarray(eigvecs[:, chunk].transpose(1, 0, 2))
+            objs = np.trace(V @ (V.transpose(0, 2, 1) @ target), axis1=1, axis2=2)
+            for obj, subset in zip(objs.tolist(), chunk):
+                if obj < best[0] - 1e-15:
+                    best = (obj, subset)
     return best
 
 

@@ -1,9 +1,11 @@
 import gc
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from proxsure import jacobian
 from proxsure.errors import PathCapExceededError, UnsupportedArchitectureError
 from proxsure.jacobian import (
     PathTerm,
@@ -276,3 +278,42 @@ def test_path_expansion_leaves_no_garbage_cycles():
         gc.enable()
     assert len(terms) == 2**8 - 1
     assert unreachable == 0
+
+
+def _assert_matches_reference(stack, tr):
+    got = [repr(t) for t in path_expansion(tr, stack)]
+    want = [repr(t) for t in _reference_path_expansion(tr, stack)]
+    assert len(got) == len(want) == 2**stack.T - 1
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, f"{len(bad)} terms differ, first {got[bad[0]]} vs {want[bad[0]]}"
+
+
+def test_path_expansion_split_path_bit_identical():
+    # at T = 12, l = 64 two widest levels of products (2 x 462 x 32 KiB)
+    # exceed the budget, so the high indices are walked depth first
+    stack, tr = _random_masked_net(np.random.default_rng(24), 12, 64, 70)
+    _assert_matches_reference(stack, tr)
+
+
+@pytest.mark.parametrize("budget", [0, 14000, 25000])
+def test_path_expansion_bit_identical_under_any_budget(monkeypatch, budget):
+    # 0 walks depth first throughout; at l = 6 the larger budgets switch
+    # to whole levels at depths 1 to 4 of the walk
+    monkeypatch.setattr(jacobian, "_PRODUCT_BUDGET", budget)
+    stack, tr = _random_masked_net(np.random.default_rng([25, budget]), 9, 6, 8)
+    _assert_matches_reference(stack, tr)
+
+
+@pytest.mark.parametrize("T, ell", [(10, 64), (12, 64), (14, 32)])
+def test_path_expansion_memory_within_budget(T, ell):
+    stack, tr = _random_masked_net(np.random.default_rng([26, T]), T, ell, ell)
+    path_expansion(tr, stack)  # builds the per-T subset tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        terms = path_expansion(tr, stack)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 2**T - 1
+    assert peak - retained <= jacobian._PRODUCT_BUDGET
