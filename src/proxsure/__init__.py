@@ -14,6 +14,7 @@ from .data import (
 )
 from .jacobian import (
     JacobianReport,
+    PathTable,
     PathTerm,
     accumulate_jacobian,
     dof_surrogate,
@@ -21,6 +22,8 @@ from .jacobian import (
     jacobian_report,
     jacobian_trace_exact,
     path_expansion,
+    path_surrogates,
+    path_table,
 )
 from .network import (
     ForwardTrace,

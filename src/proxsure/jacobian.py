@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
 
@@ -32,8 +32,7 @@ from .operators import SensingOperator, StepParams, operator_matrix, step_matric
 DEFAULT_PATH_CAP = 14
 
 
-@dataclass(frozen=True)
-class PathTerm:
+class PathTerm(NamedTuple):
     """One subset I of iterations in the Jacobian expansion."""
 
     index_set: tuple[int, ...]  # 1-based, strictly increasing
@@ -41,6 +40,25 @@ class PathTerm:
     path_sparsity: float
     deviation_bound: float
     sparsities: tuple[float, ...]  # realized tr(D_i) per hop
+
+
+class PathExpansion(list):
+    """The PathTerms of one input in combinations order, with the
+    incoherence `mu` of the W they were expanded on."""
+
+    mu: float
+
+
+class PathTable(NamedTuple):
+    """Path expansion of B inputs on one W. Columns run over the 2^T - 1
+    nonempty iteration subsets in combinations order (by size, then
+    lexicographically)."""
+
+    traces: np.ndarray  # (B, 2^T - 1) tr(P_I), P_I the masked Gram product
+    path_sparsity: np.ndarray  # (B, 2^T - 1) p_I = tr(D_I B^|I|)
+    deviation_bound: np.ndarray  # (B, 2^T - 1) prod over hops of sqrt(s) (s - 1) mu
+    sparsities: np.ndarray  # (B, T) realized tr(D_t)
+    mu: float  # incoherence of W
 
 
 def accumulate_jacobian(
@@ -71,16 +89,19 @@ def jacobian_trace_exact(J: np.ndarray) -> float:
     return float(np.trace(J))
 
 
-def incoherence(W: np.ndarray) -> float:
-    """Largest off-diagonal magnitude of W W^H; 0 for a single row."""
-    W = np.asarray(W, dtype=np.float64)
+def _gram(W: np.ndarray):
+    """G = W W^H, its diagonal B and the incoherence: the largest
+    off-diagonal magnitude of G, 0 for a single row."""
     if W.size == 0:
         raise ValueError("incoherence of an empty matrix is undefined")
-    if W.shape[0] < 2:
-        return 0.0
     G = W @ W.T
-    off = G - np.diag(np.diag(G))
-    return float(np.abs(off).max())
+    mu = float(np.abs(G - np.diag(np.diag(G))).max()) if len(G) > 1 else 0.0
+    return G, np.diag(G), mu
+
+
+def incoherence(W: np.ndarray) -> float:
+    """Largest off-diagonal magnitude of W W^H; 0 for a single row."""
+    return _gram(np.asarray(W, dtype=np.float64))[2]
 
 
 def norm_matrix_b(W: np.ndarray) -> np.ndarray:
@@ -103,7 +124,8 @@ def _expansion_weights(trace: ForwardTrace, stack: ProximalStack):
     return W, masks
 
 
-# Bytes of l-by-l products that a level-by-level expansion may keep alive.
+# Bytes of temporaries (l-by-l products, joint masks) that the path
+# kernel may keep alive, over all the inputs it expands at once.
 _PRODUCT_BUDGET = 4 << 20
 
 
@@ -133,89 +155,183 @@ def _subset_levels(T: int) -> tuple[_Level, ...]:
     return tuple(levels)
 
 
+def _chunks(B: int, nbytes: int):
+    """Slices of the B inputs, as many per slice as fit nbytes each in
+    the budget, and at least one."""
+    step = max(1, _PRODUCT_BUDGET // nbytes)
+    return [slice(lo, lo + step) for lo in range(0, B, step)]
+
+
 def _expand(traces, masked, P, high, budget):
     """Store tr P_{I+J} in traces[I | J] for every nonempty I within
-    range(m), given P[t] = P_{t+J} for t < m; J is the bitmask `high`,
-    all of whose indices are >= m, and P_{t+J} = P_J @ D_t G.
+    range(m), given P[:, t] = P_{t+J} for t < m; J is the bitmask `high`,
+    all of whose indices are >= m, and P_{t+J} = P_J @ D_t G. The leading
+    axis of P and masked, and the last axis of traces, run over inputs.
 
     Level k of the I's is built from level k - 1: the k-subsets with head
     t are (t,) + I' for the I' of level k - 1 with min I' > t, a suffix of
     that level in the same order, so each (level, head) is one product
     with a shared right factor. A level keeps only the products of heads
     >= 1, the only ones with children. While two of the widest such
-    levels would exceed `budget` bytes, the children t + J of J are
-    expanded one at a time instead (depth first over the high index).
+    levels would exceed `budget` bytes, each t + J is expanded on its own
+    by `_children` instead (depth first over the high index).
     """
-    m = len(P)
+    m = P.shape[1]
     levels = _subset_levels(m)
-    traces[levels[0].masks | high] = np.trace(P, axis1=1, axis2=2)
-    if 2 * comb(m - 1, (m - 1) // 2) * P[0].nbytes > budget:
+    traces[levels[0].masks | high] = P.trace(axis1=2, axis2=3).T
+    if 2 * comb(m - 1, (m - 1) // 2) * P[:, 0].nbytes > budget:
         for t in range(1, m):
-            child = P[t] @ masked[:t]
-            _expand(traces, masked, child, high | 1 << t, budget - child.nbytes)
+            _children(traces, masked, P[:, t], high | 1 << t, t, budget)
         return
-    kept = P[1:]
+    kept = P[:, 1:]
     for k, level in enumerate(levels[1:], 2):
-        head0 = len(kept)
-        traces[level.masks[:head0] | high] = np.trace(kept @ masked[0], axis1=1, axis2=2)
-        heads = np.empty((comb(m - 1, k),) + P.shape[1:])
+        head0 = kept.shape[1]
+        traces[level.masks[:head0] | high] = (kept @ masked[:, :1]).trace(axis1=2, axis2=3).T
+        heads = np.empty((len(P), comb(m - 1, k)) + P.shape[2:])
         row = 0
         for t in range(1, m - k + 1):
             rows = comb(m - 1 - t, k - 1)
-            np.matmul(kept[head0 - rows:], masked[t], out=heads[row : row + rows])
+            np.matmul(kept[:, head0 - rows:], masked[:, t : t + 1], out=heads[:, row : row + rows])
             row += rows
-        traces[level.masks[head0:] | high] = np.trace(heads, axis1=1, axis2=2)
+        traces[level.masks[head0:] | high] = heads.trace(axis1=2, axis2=3).T
         kept = heads
+
+
+def _children(traces, masked, P, high, m, budget):
+    """Expand the subsets I + J, I nonempty within range(m), of one
+    product P = P_J (J the bitmask `high`): as one batch of its m children
+    when that batch and a walk below it fit in `budget` bytes, else one
+    child at a time, so the products alive beyond the budget stay at
+    about T."""
+    if (2 * m - 1) * P.nbytes <= budget:
+        child = P[:, None] @ masked[:, :m]
+        _expand(traces, masked, child, high, budget - child.nbytes)
+        return
+    for t in range(m):
+        child = P @ masked[:, t]
+        traces[high | 1 << t] = child.trace(axis1=1, axis2=2)
+        if t:
+            _children(traces, masked, child, high | 1 << t, t, budget - child.nbytes)
+
+
+def _sparsity_half(d, b, hop, p, bound):
+    """Store the path sparsities and deviation bounds of masks d (B, T, l)
+    in p and bound, (B, 2^T - 1) each in combinations order. Each level's
+    joint masks and bounds are one elementwise product with its prefix's
+    row."""
+    B, T, ell = d.shape
+    joint, prev = np.ones((B, 1, ell)), np.ones((B, 1))
+    col = 0
+    for j, level in enumerate(_subset_levels(T), 1):
+        last = level.idx[:, -1]
+        joint = joint.take(level.prefix, axis=1) * d.take(last, axis=1)
+        prev = prev.take(level.prefix, axis=1) * hop.take(last, axis=1)
+        cols = slice(col, col + len(last))
+        p[:, cols] = (joint * b**j).sum(axis=2)
+        bound[:, cols] = prev
+        col = cols.stop
+
+
+def _sparsity_bytes(T: int, ell: int) -> int:
+    """Bytes per input of the sparsity half: two levels of joint masks and
+    a weighted copy, plus four rows over the subsets (p, the bounds, and
+    path_surrogates' signed p and their running sums)."""
+    return 8 * (3 * comb(T, T // 2) * ell + 4 * ((1 << T) - 1))
+
+
+def _path_setup(W, masks):
+    """Checked float masks (B, T, l), W W^H with its diagonal and mu, the
+    (B, T) sparsities and each hop's factor of the deviation bound."""
+    W = np.asarray(W, dtype=np.float64)
+    d = np.asarray(masks, dtype=np.float64)
+    if d.ndim != 3 or d.shape[1] < 1:
+        raise ValueError(f"masks must be (B, T, l) with T >= 1, got shape {d.shape}")
+    if d.shape[2] != W.shape[0]:
+        raise DimensionMismatchError("path mask width", W.shape[0], d.shape[2])
+    G, b, mu = _gram(W)
+    sparsity = d.sum(axis=2)
+    # deviation bound of a path: prod over its hops of sqrt(s) (s - 1) mu
+    hop = np.sqrt(sparsity) * np.maximum(sparsity - 1.0, 0.0) * mu
+    return d, G, b, mu, sparsity, hop
+
+
+def path_table(W, masks) -> PathTable:
+    """Expand the traces of B inputs' Jacobians over all iteration subsets.
+
+    W is the (l, n) weight of a shared symmetric single-layer stack and
+    masks a (B, T, l) 0/1 array, row t of input i its mask at iteration t.
+    Traces are evaluated on the l-by-l Gram matrix W W^H, which matches
+    tr(J_I) by cyclicity. Each subset's product P_I, associated left to
+    right from its largest index, costs one l x l product: subsets are
+    expanded level by level with one batched product per (subset size,
+    smallest index), over as many inputs at once as fit two levels in the
+    `_PRODUCT_BUDGET` of 4 MiB; when one input does not fit, its largest
+    indices are walked depth first, in batches of children while they
+    fit and one product at a time below that. Joint masks and deviation
+    bounds grow from each subset's prefix I[:-1] in index order, one
+    elementwise product per subset size, for as many inputs at once as
+    fit in the budget.
+    """
+    d, G, b, mu, sparsity, hop = _path_setup(W, masks)
+    B, T, ell = d.shape
+    p, bound = np.empty((2, B, (1 << T) - 1))
+    for rows in _chunks(B, _sparsity_bytes(T, ell)):
+        _sparsity_half(d[rows], b, hop[rows], p[rows], bound[rows])
+    traces = np.empty((1 << T, B))  # by subset bitmask
+    for rows in _chunks(B, (T + 2 * comb(T - 1, (T - 1) // 2)) * G.nbytes):
+        masked = d[rows, :, :, None] * G  # D_t G
+        _expand(traces[:, rows], masked, masked, 0, _PRODUCT_BUDGET - masked.nbytes)
+        del masked
+    order = np.concatenate([level.masks for level in _subset_levels(T)])
+    return PathTable(traces.take(order, axis=0).T, p, bound, sparsity, mu)
+
+
+def path_surrogates(W, masks, n: int):
+    """The alternating path-sparsity sums n + sum_I (-1)^|I| p_I of B
+    inputs, from the sparsity half of `path_table` alone (no l x l
+    product). Each sum runs over the subsets in combinations order from
+    left to right, as `dof_surrogate` sums a term list, and the p_I are
+    held for as many inputs at once as fit in the budget. Returns
+    (surrogates (B,), sparsities (B, T), mu).
+    """
+    d, _, b, mu, sparsity, hop = _path_setup(W, masks)
+    B, T, ell = d.shape
+    signs = np.concatenate([np.full(len(level.idx), (-1.0) ** j)
+                            for j, level in enumerate(_subset_levels(T), 1)])
+    out = np.empty(B)
+    for rows in _chunks(B, _sparsity_bytes(T, ell)):
+        p, bound = np.empty((2, len(d[rows]), len(signs)))
+        _sparsity_half(d[rows], b, hop[rows], p, bound)
+        out[rows] = float(n) + np.add.accumulate(p * signs, axis=1)[:, -1]
+    return out, sparsity, mu
 
 
 def path_expansion(
     trace: ForwardTrace,
     stack: ProximalStack,
     max_T: int = DEFAULT_PATH_CAP,
-) -> list[PathTerm]:
-    """Enumerate all 2^T - 1 nonempty iteration subsets, in
-    combinations order (by size, then lexicographically).
-
-    Traces are evaluated on the l-by-l Gram matrix W W^H, which matches
-    tr(J_I) by cyclicity. Each subset's product P_I, associated left to
-    right from its largest index, costs one l x l product: subsets are
-    expanded level by level with one batched product per (subset size,
-    smallest index), while two levels of products fit in a 4 MiB budget;
-    above that the largest indices are walked depth first, one batch of
-    at most T products per depth. Joint masks and deviation bounds grow
-    from each subset's prefix I[:-1] in index order, one elementwise
-    product per subset size.
-    """
+) -> PathExpansion:
+    """Enumerate all 2^T - 1 nonempty iteration subsets of one input, in
+    combinations order (by size, then lexicographically): the one-input
+    case of `path_table`, as PathTerms."""
     W, d = _expansion_weights(trace, stack)  # d: (T, l) 0/1 masks
     T = stack.T
     if T > max_T:
         raise PathCapExceededError(
             f"path expansion for T={T} exceeds the cap {max_T} (2^T subsets)"
         )
-    G = W @ W.T
-    b = np.diag(G)
-    mu = incoherence(W)
-    masked = d[:, :, None] * G  # D_t G
-    traces = np.empty(1 << T)  # by subset bitmask
-    _expand(traces, masked, masked, 0, _PRODUCT_BUDGET - masked.nbytes)
-    del masked
-    sparsity = d.sum(axis=1)
-    # deviation bound of a path: prod over its hops of sqrt(s) (s - 1) mu
-    hop = np.sqrt(sparsity) * np.maximum(sparsity - 1.0, 0.0) * mu
-    joint, bound = np.ones((1, d.shape[1])), np.ones(1)
-    terms = []
-    for j, level in enumerate(_subset_levels(T), 1):
-        last = level.idx[:, -1]
-        joint = joint[level.prefix] * d[last]
-        bound = bound[level.prefix] * hop[last]
-        terms += map(
-            PathTerm,
-            level.index_sets,
-            traces[level.masks].tolist(),
-            (joint * b**j).sum(axis=1).tolist(),
-            bound.tolist(),
-            map(tuple, sparsity[level.idx].tolist()),
-        )
+    table = path_table(W, d[None])
+    levels = _subset_levels(T)
+    sparsity = table.sparsities[0]
+    terms = PathExpansion(map(
+        PathTerm,
+        chain.from_iterable(level.index_sets for level in levels),
+        table.traces[0].tolist(),
+        table.path_sparsity[0].tolist(),
+        table.deviation_bound[0].tolist(),
+        chain.from_iterable(map(tuple, sparsity[level.idx].tolist()) for level in levels),
+    ))
+    terms.mu = table.mu
     return terms
 
 
@@ -301,17 +417,15 @@ def jacobian_report(
     max_T: int = DEFAULT_PATH_CAP,
 ) -> JacobianReport:
     """Full single-input analysis: exact Jacobian plus the path expansion."""
-    W, masks = _expansion_weights(trace, stack)
     J = accumulate_jacobian(trace, stack, op, step)
     terms = path_expansion(trace, stack, max_T=max_T)
-    mu = incoherence(W)
-    rho = [float(d.sum()) for d in masks]
-    surrogate, eps, bound, _ = dof_surrogate(terms, stack.n, mu, rho)
+    rho = [t.sparsities[0] for t in terms[: stack.T]]  # the singletons (1,) .. (T,)
+    surrogate, eps, bound, _ = dof_surrogate(terms, stack.n, terms.mu, rho)
     return JacobianReport(
         n=stack.n,
         T=stack.T,
         trace=jacobian_trace_exact(J),
-        mu_w=mu,
+        mu_w=terms.mu,
         rho=rho,
         epsilon=eps,
         surrogate=surrogate,

@@ -16,14 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .jacobian import (
-    dof_surrogate,
-    incoherence,
-    jacobian_trace_exact,
-    path_expansion,
-    theorem1_bound,
-)
-from .network import ForwardTrace, ProximalStack, frozen_mask_pass, unroll
+from .jacobian import jacobian_trace_exact, path_surrogates, theorem1_bound
+from .network import ProximalStack, frozen_mask_pass, unroll
 from .operators import SensingOperator, StepParams, apply_operator, operator_matrix, step_matrices
 
 
@@ -261,12 +255,8 @@ def evaluate_set(
         ev.sure = sure(ev.rss, ev.dof, op.n, sigma)
     if max_T is None or stack.K != 1 or not stack.symmetric or stack.mode != "ws" or stack.T > max_T:
         return ev
-    ev.mu = incoherence(stack.weights[0][0][0])
-    rho = np.array([[m[t][0].sum() for t in range(stack.T)] for m in masks], dtype=float)
-    ev.surrogate = np.array([
-        dof_surrogate(path_expansion(ForwardTrace([], [], [], m), stack, max_T), stack.n, ev.mu, r)[0]
-        for m, r in zip(masks, rho)
-    ])
+    d = np.stack([units[0][1] for _, units in rec], axis=1)  # (B, T, l) masks
+    ev.surrogate, rho, ev.mu = path_surrogates(stack.weights[0][0][0], d, stack.n)
     ev.rho_max = float((rho.sum(axis=0) / len(Y)).max())
     ev.epsilon = float(ev.mu * ev.rho_max**1.5)
     ev.bound = theorem1_bound(ev.epsilon, stack.T)

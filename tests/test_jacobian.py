@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from proxsure import jacobian
-from proxsure.errors import PathCapExceededError, UnsupportedArchitectureError
+from proxsure.errors import (
+    DimensionMismatchError,
+    PathCapExceededError,
+    UnsupportedArchitectureError,
+)
 from proxsure.jacobian import (
     PathTerm,
     accumulate_jacobian,
@@ -17,6 +21,8 @@ from proxsure.jacobian import (
     norm_matrix_b,
     path_deviation,
     path_expansion,
+    path_surrogates,
+    path_table,
 )
 from proxsure.network import ForwardTrace, ProximalStack, random_stack, unroll_forward
 from proxsure.operators import StepParams, identity_operator
@@ -304,7 +310,7 @@ def test_path_expansion_bit_identical_under_any_budget(monkeypatch, budget):
     _assert_matches_reference(stack, tr)
 
 
-@pytest.mark.parametrize("T, ell", [(10, 64), (12, 64), (14, 32)])
+@pytest.mark.parametrize("T, ell", [(10, 64), (12, 64), (14, 32), (12, 128)])
 def test_path_expansion_memory_within_budget(T, ell):
     stack, tr = _random_masked_net(np.random.default_rng([26, T]), T, ell, ell)
     path_expansion(tr, stack)  # builds the per-T subset tables
@@ -316,4 +322,104 @@ def test_path_expansion_memory_within_budget(T, ell):
     finally:
         tracemalloc.stop()
     assert len(terms) == 2**T - 1
+    assert peak - retained <= jacobian._PRODUCT_BUDGET
+
+
+def test_path_term_repr_is_the_dataclass_repr():
+    term = PathTerm((1, 3), 0.5, -0.0, 0.25, (2.0, 3.0))
+    assert repr(term) == (
+        "PathTerm(index_set=(1, 3), trace_exact=0.5, path_sparsity=-0.0, "
+        "deviation_bound=0.25, sparsities=(2.0, 3.0))"
+    )
+
+
+def _random_mask_batch(rng, B, T, ell, n):
+    W = rng.standard_normal((ell, n))
+    return W, rng.random((B, T, ell)) < 0.6
+
+
+def _assert_rows_match_path_expansion(W, masks):
+    table = path_table(W, masks)
+    T = masks.shape[1]
+    assert table.traces.shape == table.path_sparsity.shape == (len(masks), 2**T - 1)
+    stack = stack_for(W, T)
+    for i, m in enumerate(masks):
+        terms = path_expansion(trace_from_masks(m), stack)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(table.traces[i].tolist()) == repr([t.trace_exact for t in terms])
+        assert repr(table.path_sparsity[i].tolist()) == repr([t.path_sparsity for t in terms])
+        assert repr(table.deviation_bound[i].tolist()) == repr([t.deviation_bound for t in terms])
+        assert repr(table.sparsities[i].tolist()) == repr([t.sparsities[0] for t in terms[:T]])
+        assert table.mu == terms.mu == incoherence(W)
+
+
+@pytest.mark.parametrize("budget", [None, 0, 14000, 25000])
+@pytest.mark.parametrize("T", range(1, 11))
+def test_path_table_rows_equal_path_expansion(monkeypatch, T, budget):
+    # budgets 0, 14000 and 25000 split the batch into chunks of inputs and
+    # walk the high indices of the larger T depth first
+    if budget is not None:
+        monkeypatch.setattr(jacobian, "_PRODUCT_BUDGET", budget)
+    rng = np.random.default_rng([27, T, budget or 1])
+    _assert_rows_match_path_expansion(*_random_mask_batch(rng, 5, T, 6, 8))
+
+
+def test_path_table_split_path_rows_equal_path_expansion():
+    # at T = 11, l = 64 one input's two widest levels exceed the budget
+    _assert_rows_match_path_expansion(*_random_mask_batch(np.random.default_rng(28), 2, 11, 64, 66))
+
+
+@pytest.mark.parametrize("budget", [None, 0, 20000])
+def test_path_surrogates_equal_dof_surrogate_of_path_expansion(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(jacobian, "_PRODUCT_BUDGET", budget)
+    rng = np.random.default_rng([29, budget or 1])
+    for T in range(1, 11):
+        n = 9
+        W, masks = _random_mask_batch(rng, 6, T, 7, n)
+        W /= np.sqrt(n)
+        got, sparsities, mu = path_surrogates(W, masks, n)
+        stack = stack_for(W, T)
+        want = [dof_surrogate(path_expansion(trace_from_masks(m), stack), n, mu)[0] for m in masks]
+        assert repr(got.tolist()) == repr(want)
+        assert np.array_equal(sparsities, masks.sum(axis=2)) and mu == incoherence(W)
+
+
+def test_path_table_rejects_masks_of_another_width():
+    W = np.ones((3, 4))
+    with pytest.raises(DimensionMismatchError):
+        path_table(W, np.ones((2, 2, 4)))
+    with pytest.raises(ValueError):
+        path_table(W, np.ones((2, 3)))
+
+
+def test_jacobian_report_forms_the_gram_matrix_once(monkeypatch):
+    calls = []
+    gram = jacobian._gram
+
+    def counted(W):
+        calls.append(W.shape)
+        return gram(W)
+
+    monkeypatch.setattr(jacobian, "_gram", counted)
+    stack = random_stack(6, [3], T=4, seed=4)
+    _, tr = unroll_forward(np.random.default_rng(4).standard_normal(6), stack, identity_operator(6), STEP0)
+    report = jacobian_report(tr, stack, identity_operator(6), STEP0)
+    assert calls == [(3, 6)]
+    assert report.mu_w == gram(stack.weights[0][0][0])[2]
+    assert report.rho == [float(m[0].sum()) for m in tr.masks]
+
+
+@pytest.mark.parametrize("B, T, ell", [(64, 10, 16), (8, 12, 64)])
+def test_path_table_memory_within_budget(B, T, ell):
+    W, masks = _random_mask_batch(np.random.default_rng([30, T]), B, T, ell, ell)
+    path_table(W, masks)  # builds the per-T subset tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = path_table(W, masks)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.traces.shape == (B, 2**T - 1)
     assert peak - retained <= jacobian._PRODUCT_BUDGET

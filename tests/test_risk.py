@@ -242,3 +242,48 @@ def test_mc_probes_are_one_draw_from_the_seeded_generator():
     dof_monte_carlo(lambda v: batches.append(v) or v, np.zeros(3), 16, delta=1.0, seed=9)
     expected = np.random.default_rng(9).integers(0, 2, size=(16, 3)) * 2.0 - 1.0
     assert np.array_equal(batches[-1], expected)
+
+
+# --- the path surrogate from the batched kernel -----------------------------
+
+import gc
+import tracemalloc
+
+from proxsure import jacobian
+
+
+def test_evaluate_set_surrogate_in_chunks_matches_per_input(monkeypatch):
+    # about two inputs per chunk, so the 11 inputs leave a partial last chunk
+    monkeypatch.setattr(jacobian, "_PRODUCT_BUDGET", 10000)
+    op = identity_operator(EVAL_N)
+    stack = random_stack(EVAL_N, [6], T=6, seed=8)
+    Y = np.random.default_rng(9).standard_normal((11, EVAL_N))
+    ev = evaluate_set(stack, op, StepParams(), Y, max_T=6)
+    mu = incoherence(stack.weights[0][0][0])
+    assert ev.mu == mu
+    want = []
+    for y in Y:
+        _, tr = unroll_forward(y, stack, op, StepParams(), record=True)
+        want.append(dof_surrogate(path_expansion(tr, stack), EVAL_N, mu)[0])
+    assert repr(ev.surrogate.tolist()) == repr(want)
+
+
+def test_evaluate_set_surrogate_at_T14_within_budget():
+    # one input's 16,383 path terms would take more than the budget alone
+    n, T = 16, 14
+    op, step = identity_operator(n), StepParams()
+    stack = random_stack(n, [8], T=T, seed=10)
+    Y = np.random.default_rng(11).standard_normal((128, n))
+    evaluate_set(stack, op, step, Y[:2], max_T=T)  # builds the per-T subset tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        evaluate_set(stack, op, step, Y)
+        _, without = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ev = evaluate_set(stack, op, step, Y, max_T=T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ev.surrogate.shape == (128,) and np.all(np.isfinite(ev.surrogate))
+    assert peak - without <= jacobian._PRODUCT_BUDGET
