@@ -10,6 +10,7 @@ determinism contract.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import dataclasses
 import hashlib
@@ -68,12 +69,30 @@ COLUMN_DOCS = {
 }
 
 
+# The splits that the cells of the running run_sweep share: (its config,
+# {(sigma, N, seed, test): [cells still to use it, split or None]}).
+_shared_splits = contextvars.ContextVar("shared_splits", default=None)
+
+
 def cell_split(cfg: ExperimentConfig, op, sigma: float, N: int, seed: int, test: bool = False):
-    """A cell's train or test split: (clean samples, measurements Phi(x + v))."""
+    """A cell's train or test split: (clean samples, measurements Phi(x + v)).
+
+    Inside run_sweep a split is built once and its read-only arrays are
+    handed to every cell of the sweep that uses it.
+    """
+    shared = _shared_splits.get()
+    entry = shared[1].get((sigma, N, seed, test)) if shared and shared[0] is cfg else None
+    if entry is not None and entry[1] is not None:
+        return entry[1]
     offset, noise_tag = (datamod.TEST_OFFSET, 13) if test else (0, 12)
     clean = build_dataset(cfg, N, (seed, 10), offset)
     noisy = datamod.add_noise(clean.samples, sigma, seed=(seed, noise_tag))
-    return clean, apply_operator(op, noisy)
+    split = clean, apply_operator(op, noisy)
+    if entry is not None:
+        clean.samples.flags.writeable = False
+        split[1].flags.writeable = False
+        entry[1] = split
+    return split
 
 
 def train_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed: int):
@@ -151,6 +170,12 @@ def _cell_config_sha256(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(config_to_text(cell_cfg).encode()).hexdigest()
 
 
+def _split_keys(cfg: ExperimentConfig, cell):
+    """Keys of a (mode, sigma, N, seed) cell's train and test splits."""
+    _mode, sigma, n_train, seed = cell
+    return (sigma, n_train, seed, False), (sigma, cfg.n_test, seed, True)
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
     """Run all cells in order in the calling thread, resuming from
     per-cell files written under the same config.
@@ -159,6 +184,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
     _cell_config_sha256); a file whose hash is missing or differs is
     recomputed, so a resumed directory never mixes configs, while growing
     a grid or moving the directory reuses the cells already done.
+
+    Each train split (sigma, N, seed) and test split (sigma, n_test, seed)
+    is built once and shared, read-only, by the cells that use it (the ws
+    and wc cells of one (sigma, N, seed)); it is dropped after the last of
+    them, and none is held once the sweep returns.
 
     workers is ignored, kept only for callers that still pass it: a train
     step is ~65 numpy calls of 1-5 us that each release the GIL, so a
@@ -180,6 +210,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
         for seed in cfg.seeds
     ]
 
+    splits = {}
+    for cell in cells:
+        for key in _split_keys(cfg, cell):
+            splits.setdefault(key, [0, None])[0] += 1
+
     timings = {}
 
     def compute(cell):
@@ -200,7 +235,18 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
         os.replace(tmp, path)
         return row
 
-    rows = [compute(c) for c in cells]
+    token = _shared_splits.set((cfg, splits))
+    try:
+        rows = []
+        for cell in cells:
+            rows.append(compute(cell))
+            for key in _split_keys(cfg, cell):
+                splits[key][0] -= 1
+                if splits[key][0] == 0:
+                    del splits[key]
+    finally:
+        _shared_splits.reset(token)
+        splits.clear()
 
     rows.sort(key=lambda r: (r["mode"], r["sigma"], r["n_train"], r["seed"]))
     csv_path = os.path.join(out_dir, "sweep.csv")

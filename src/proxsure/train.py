@@ -8,6 +8,7 @@ contributions into the single weight set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,8 +75,8 @@ def loss_and_gradients(
     G_x, G_y = step_matrices(op, step) if matrices is None else matrices
     xhat, record = unroll(Y, stack, op, G_x, G_y, record=True)
     diff = xhat - X
-    loss = float(np.sum(diff**2) / B)
-    if not np.isfinite(loss):
+    loss = float((diff**2).sum() / B)
+    if not math.isfinite(loss):
         bad = int(np.flatnonzero(~np.isfinite(np.sum(diff**2, axis=1)))[0])
         raise NonFiniteError(f"non-finite loss at batch sample {bad}")
 
@@ -92,15 +93,22 @@ def loss_and_gradients(
             W, Wbar = layers[k]
             h_in, D, a = record[t][1][k]
             i = (wi * K + k) * slots
+            # nothing reads the gradient with respect to the first unit's input
+            first = t == 0 and k == 0
             if Wbar is None:
-                dz = D * (-(g @ W.T))
-                grads[i] = grads[i] + (dz.T @ h_in - a.T @ g)
-                g = g + dz @ W
+                # e = -dz, the unit's pre-activation gradient, carried with
+                # its sign flipped: negation is exact, so both lines equal
+                # the textbook grads + (dz^T h - a^T g) and g + dz W
+                e = D * (g @ W.T)
+                grads[i] = grads[i] - (e.T @ h_in + a.T @ g)
+                if not first:
+                    g = g - e @ W
             else:
                 dz = D * (g @ W.T)
                 grads[i] = grads[i] + a.T @ g
                 grads[i + 1] = grads[i + 1] + dz.T @ h_in
-                g = g + dz @ Wbar
+                if not first:
+                    g = g + dz @ Wbar
         if t > 0 and G_x is not None:
             g = g @ G_x
     return loss, grads
@@ -129,20 +137,41 @@ class OptimizerState:
 
 
 def adam_step(state: OptimizerState, weights, grads):
-    """Bias-corrected Adam update; returns (new_weights, new_state)."""
+    """Bias-corrected Adam update; returns (new_weights, new_state).
+
+    The arrays passed in are left untouched; every returned array is new.
+    """
     for g in grads:
-        if not np.all(np.isfinite(g)):
+        # a finite sum proves every entry finite; only a sum that is not
+        # (an inf or nan entry, or finite entries that overflow) is rechecked
+        if not math.isfinite(g.sum()) and not np.all(np.isfinite(g)):
             raise NonFiniteError("non-finite gradient passed to Adam")
     t = state.step_count + 1
     new_m, new_v, new_w = [], [], []
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
+    b1, b2 = state.beta1, state.beta2
     for w, g, m, v in zip(weights, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        # the textbook expressions, evaluated in the same order into reused
+        # buffers: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        # w - lr (m / c1) / (sqrt(v / c2) + eps)
+        tmp = np.multiply(g, 1.0 - b1)
+        m = b1 * m
+        m += tmp
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v = b2 * v
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        upd = m / c1
+        upd *= state.lr
+        upd /= tmp
+        np.subtract(w, upd, out=upd)
         new_m.append(m)
         new_v.append(v)
-        new_w.append(w - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
+        new_w.append(upd)
     return new_w, OptimizerState(
         lr=state.lr,
         beta1=state.beta1,
@@ -226,38 +255,41 @@ def train(
         loss_hist, mse_hist = [], []
         steps_done = 0
         failed = False
-        for epoch in range(epochs):
-            if anneal_at is not None and epoch == anneal_at:
-                state.lr = lr * 0.1
-            order = order_rng.permutation(N)
-            epoch_loss = 0.0
-            seen = 0
-            for start in range(0, N, batch):
+        # a diverging lr overflows on its way to a non-finite loss or MSE,
+        # which diverged_lrs already reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(epochs):
+                if anneal_at is not None and epoch == anneal_at:
+                    state.lr = lr * 0.1
+                order = order_rng.permutation(N)
+                epoch_loss = 0.0
+                seen = 0
+                for start in range(0, N, batch):
+                    if max_steps is not None and steps_done >= max_steps:
+                        break
+                    idx = order[start : start + batch]
+                    try:
+                        loss, grads = loss_and_gradients(
+                            stack, x_train[idx], y_train[idx], op, step, matrices
+                        )
+                    except NonFiniteError:
+                        failed = True
+                        break
+                    flat_grad = np.concatenate([g.ravel() for g in grads])
+                    new, state = adam_step(state, [buffer], [flat_grad])
+                    buffer[:] = new[0]
+                    epoch_loss += loss * len(idx)
+                    seen += len(idx)
+                    steps_done += 1
+                if failed:
+                    break
+                if seen == 0:
+                    break
+                xhat, _ = unroll(y_test, stack, op, *matrices)
+                loss_hist.append(epoch_loss / seen)
+                mse_hist.append(float(np.mean((xhat - x_test) ** 2)))
                 if max_steps is not None and steps_done >= max_steps:
                     break
-                idx = order[start : start + batch]
-                try:
-                    loss, grads = loss_and_gradients(
-                        stack, x_train[idx], y_train[idx], op, step, matrices
-                    )
-                except NonFiniteError:
-                    failed = True
-                    break
-                flat_grad = np.concatenate([g.ravel() for g in grads])
-                new, state = adam_step(state, [buffer], [flat_grad])
-                buffer[:] = new[0]
-                epoch_loss += loss * len(idx)
-                seen += len(idx)
-                steps_done += 1
-            if failed:
-                break
-            if seen == 0:
-                break
-            xhat, _ = unroll(y_test, stack, op, *matrices)
-            loss_hist.append(epoch_loss / seen)
-            mse_hist.append(float(np.mean((xhat - x_test) ** 2)))
-            if max_steps is not None and steps_done >= max_steps:
-                break
         if failed or not mse_hist or not np.isfinite(mse_hist[-1]):
             diverged.append(lr)
             histories[lr] = loss_hist

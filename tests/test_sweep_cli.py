@@ -134,6 +134,76 @@ def test_sweep_runs_cells_in_order_on_calling_thread(tmp_path, tiny_cfg, cell_ca
     ]
 
 
+def test_sweep_builds_each_split_once_and_shares_it_across_modes(
+    tmp_path, tiny_cfg, cell_calls, monkeypatch
+):
+    import gc
+    import weakref
+
+    from proxsure import data
+
+    text = tiny_cfg.read_text().replace("n_train_grid = [8]", "n_train_grid = [8, 12]")
+    text = text.replace("seeds = [0]", "seeds = [0, 1]")
+    singles = {}
+    for mode in ("ws", "wc"):
+        out = tmp_path / mode
+        run_sweep(parse_config(text.replace('["ws"]', f'["{mode}"]')), out)
+        singles[mode] = ((out / "sweep.csv").read_text().splitlines(keepends=True),
+                         json.loads((out / "summary.json").read_text()))
+    cell_calls.clear()
+
+    generated, noised, returned = [], [], []
+    generate, add_noise, cell_split = data.generate_subspace_data, data.add_noise, sweep.cell_split
+
+    def counting_generate(n, r, N, seed=0, offset=0):
+        generated.append((N, seed, offset))
+        return generate(n, r, N, seed=seed, offset=offset)
+
+    def counting_add_noise(x, sigma, seed=0):
+        noised.append((len(x), seed))
+        return add_noise(x, sigma, seed=seed)
+
+    def recording_split(*args, **kwargs):
+        clean, y = cell_split(*args, **kwargs)
+        returned.append((weakref.ref(clean.samples), weakref.ref(y),
+                         clean.samples.flags.writeable, y.flags.writeable))
+        return clean, y
+
+    monkeypatch.setattr(data, "generate_subspace_data", counting_generate)
+    monkeypatch.setattr(data, "add_noise", counting_add_noise)
+    monkeypatch.setattr(sweep, "cell_split", recording_split)
+    out = tmp_path / "both"
+    run_sweep(parse_config(text.replace('["ws"]', '["ws", "wc"]')), out)
+
+    me = threading.get_ident()
+    assert cell_calls == [
+        (me, mode, 0.2, N, seed) for mode in ("ws", "wc") for N in (8, 12) for seed in (0, 1)
+    ]
+    test_offset = data.TEST_OFFSET
+    assert sorted(generated) == sorted(
+        [(N, (seed, 10), 0) for N in (8, 12) for seed in (0, 1)]
+        + [(8, (seed, 10), test_offset) for seed in (0, 1)]
+    )
+    assert sorted(noised) == sorted(
+        [(N, (seed, 12)) for N in (8, 12) for seed in (0, 1)] + [(8, (seed, 13)) for seed in (0, 1)]
+    )
+    # each of the 8 cells asks for a train and a test split
+    assert len(returned) == 16
+    assert not any(flag for *_, clean_w, y_w in returned for flag in (clean_w, y_w))
+
+    # the two-mode sweep's artifacts are the two one-mode sweeps' merged
+    header, *wc_rows = singles["wc"][0]
+    assert singles["ws"][0][0] == header
+    assert (out / "sweep.csv").read_text() == "".join([header, *wc_rows, *singles["ws"][0][1:]])
+    summary = {**singles["wc"][1], **singles["ws"][1]}
+    assert (out / "summary.json").read_text() == json.dumps(summary, sort_keys=True, indent=1)
+
+    # no split outlives the sweep
+    gc.collect()
+    assert sweep._shared_splits.get() is None
+    assert all(ref() is None for clean, y, *_ in returned for ref in (clean, y))
+
+
 def test_resume_recomputes_cells_of_another_config(tmp_path, tiny_cfg):
     cfg = parse_config(tiny_cfg.read_text())
     other = parse_config(tiny_cfg.read_text().replace("optimizer.epochs = 2", "optimizer.epochs = 3"))

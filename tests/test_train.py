@@ -396,3 +396,108 @@ def test_skipped_data_step_gives_the_same_loss_and_gradients(mode, symmetric):
     assert len(grads) == len(want_grads)
     for a, b in zip(grads, want_grads):
         assert a.tobytes() == b.tobytes()
+
+
+def _reference_loss_and_gradients(stack, x_true, y, op, step):
+    """The textbook backward pass: the pre-activation gradient dz with
+    its own sign, and every unit's input gradient formed, the last one
+    included."""
+    from proxsure.network import unroll
+    from proxsure.operators import step_matrices
+
+    X, Y = np.atleast_2d(x_true), np.atleast_2d(y)
+    B = X.shape[0]
+    G_x, G_y = step_matrices(op, step)
+    xhat, record = unroll(Y, stack, op, G_x, G_y, record=True)
+    diff = xhat - X
+    loss = float(np.sum(diff**2) / B)
+    slots = 1 if stack.symmetric else 2
+    K = stack.K
+    grads = [0.0] * (len(stack.weights) * K * slots)
+    g = 2.0 * diff / B
+    for t in reversed(range(stack.T)):
+        wi = 0 if stack.mode == "ws" else t
+        layers = stack.layer_weights(t)
+        for k in reversed(range(K)):
+            W, Wbar = layers[k]
+            h_in, D, a = record[t][1][k]
+            i = (wi * K + k) * slots
+            if Wbar is None:
+                dz = D * (-(g @ W.T))
+                grads[i] = grads[i] + (dz.T @ h_in - a.T @ g)
+                g = g + dz @ W
+            else:
+                dz = D * (g @ W.T)
+                grads[i] = grads[i] + a.T @ g
+                grads[i + 1] = grads[i + 1] + dz.T @ h_in
+                g = g + dz @ Wbar
+        if t > 0 and G_x is not None:
+            g = g @ G_x
+    return loss, grads
+
+
+@pytest.mark.parametrize("mode", ["ws", "wc"])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("hidden", [[5], [5, 3]], ids=["K1", "K2"])
+@pytest.mark.parametrize("T", [1, 3])
+@pytest.mark.parametrize("kind,step", [("identity", StepParams("gradient", 0.0)),
+                                       ("circular", StepParams("ls", 0.5))],
+                         ids=["identity-skipped", "circular-ls"])
+def test_loss_and_gradients_equal_the_textbook_backward_bit_for_bit(
+    mode, symmetric, hidden, T, kind, step
+):
+    n = 6
+    if kind == "identity":
+        op = identity_operator(n)
+    else:
+        op = circular_operator(np.array([0.6, 0.25, 0.15]), n=n)
+    x, y = _toy_problem(seed=12, N=9, n=n)
+    # a zero measurement row drives whole masks off, so exact zeros occur
+    y[4] = 0.0
+    stack = random_stack(n, hidden, T=T, mode=mode, symmetric=symmetric, seed=13)
+    loss, grads = loss_and_gradients(stack, x, y, op, step)
+    want_loss, want_grads = _reference_loss_and_gradients(stack, x, y, op, step)
+    assert loss == want_loss
+    assert len(grads) == len(want_grads)
+    for a, b in zip(grads, want_grads):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_adam_checks_entries_not_their_sum_and_leaves_inputs_unchanged():
+    rng = np.random.default_rng(14)
+    weights = [rng.standard_normal(2)]
+    state = OptimizerState.for_weights(weights, lr=0.01)
+    _, state = adam_step(state, weights, [rng.standard_normal(2)])
+    kept = [weights[0].tobytes(), state.m[0].tobytes(), state.v[0].tobytes()]
+
+    for bad in (np.inf, -np.inf, np.nan):
+        grad = np.array([1.0, bad])
+        before = grad.tobytes()
+        with pytest.raises(NonFiniteError):
+            adam_step(state, weights, [grad])
+        assert grad.tobytes() == before
+        assert [weights[0].tobytes(), state.m[0].tobytes(), state.v[0].tobytes()] == kept
+
+    # finite entries whose sum overflows are a valid gradient
+    grad = np.array([1e308, 1e308])
+    before = grad.tobytes()
+    with np.errstate(over="ignore"):
+        new_w, new_state = adam_step(state, weights, [grad])
+    assert new_state.step_count == state.step_count + 1
+    assert np.all(np.isfinite(new_w[0]))
+    assert grad.tobytes() == before
+    assert [weights[0].tobytes(), state.m[0].tobytes(), state.v[0].tobytes()] == kept
+
+
+def test_train_reports_a_diverging_lr_without_runtime_warnings():
+    import warnings
+
+    n = 6
+    x, y = _toy_problem(seed=15, N=16, n=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = train(x[:12], y[:12], x[12:], y[12:], identity_operator(n),
+                       StepParams("ls", 0.4), hidden=[4], T=2, lr_grid=[1e150, 1e-3],
+                       epochs=3, batch=4, seed=16)
+    assert result.diverged_lrs == [1e150]
+    assert result.lr == 1e-3
