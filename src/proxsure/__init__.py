@@ -31,8 +31,6 @@ from .network import (
     forward_map,
     load_stack,
     random_stack,
-    replay_from_trace,
-    residual_unit_forward,
     save_stack,
     unroll_forward,
 )

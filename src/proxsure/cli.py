@@ -22,7 +22,7 @@ from .jacobian import jacobian_report
 from .network import load_stack, save_stack, unroll_forward
 from .risk import SureReport, evaluate_set, mse_psnr
 from .spectrum import spectrum, spectrum_csv
-from .sweep import cell_split, report_plots, run_sweep, train_cell
+from .sweep import cell_split, mc_dofs, report_plots, run_sweep, train_cell
 from .verify import COMMANDS as VERIFY_COMMANDS
 
 log = logging.getLogger("proxsure")
@@ -78,12 +78,16 @@ def _cmd_evaluate(args) -> int:
     sigma = cfg.sigma[0]
     test_set, y_test = cell_split(cfg, op, sigma, cfg.n_test, cfg.seeds[0], test=True)
     ev = evaluate_set(stack, op, step, y_test, sigma)
+    mc = mc_dofs(cfg, stack, op, step, y_test, cfg.seeds[0])
     reports = []
     for i, (xhat, x) in enumerate(zip(ev.xhat, test_set.samples)):
         report = SureReport(n=op.m, sigma=sigma, rss=float(ev.rss[i]),
                             output_norm=float(np.linalg.norm(xhat)))
         if ev.dof is not None:
             report.dof_exact = float(ev.dof[i])
+        if mc is not None:
+            report.dof_mc, report.mc_std_error = mc[i]
+            report.mc_probes = cfg.dof_probes
         if ev.sure is not None:
             report.sure = float(ev.sure[i])
         report.mse_vs_truth, report.psnr = mse_psnr(xhat, x)
@@ -98,6 +102,8 @@ def _cmd_evaluate(args) -> int:
     }
     if ev.dof is not None:
         mean["dof_exact_mean"] = float(np.mean(ev.dof))
+    if mc is not None:
+        mean["dof_mc_mean"] = float(np.mean([estimate for estimate, _ in mc]))
     print(json.dumps(mean, sort_keys=True))
     if args.per_input:
         for r in reports:

@@ -85,7 +85,7 @@ _SCHEMA = {
     "optimizer.anneal_at": ("opt_anneal_at", int, None, None),
     "optimizer.max_steps": ("opt_max_steps", int, None, None),
     "seeds": ("seeds", list, lambda v: len(v) > 0 and all(isinstance(x, int) and x >= 0 for x in v), "non-negative integer seeds"),
-    "dof.estimator": ("dof_estimator", str, lambda v: v in ("exact", "fd", "mc"), "one of exact/fd/mc"),
+    "dof.estimator": ("dof_estimator", str, lambda v: v in ("exact", "mc"), "exact or mc"),
     # input i's probes are one draw from default_rng([seed, i]), distinct
     # at any count; the cap bounds each input's (probes, n) forward batch
     "dof.probes": ("dof_probes", int, lambda v: 1 <= v <= 65536, "between 1 and 65536"),

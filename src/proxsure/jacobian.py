@@ -172,22 +172,31 @@ def _expand(traces, masked, P, high, budget):
     t are (t,) + I' for the I' of level k - 1 with min I' > t, a suffix of
     that level in the same order, so each (level, head) is one product
     with a shared right factor. A level keeps only the products of heads
-    >= 1, the only ones with children. While two of the widest such
+    >= 1, the only ones with children. The levels alternate between two
+    buffers as wide as the widest kept level, allocated once per call: a
+    level's head-0 products (its leaves) are traced in the spare buffer,
+    and its heads then overwrite them there. While two of the widest such
     levels would exceed `budget` bytes, each t + J is expanded on its own
     by `_children` instead (depth first over the high index).
     """
     m = P.shape[1]
     levels = _subset_levels(m)
     traces[levels[0].masks | high] = P.trace(axis1=2, axis2=3).T
-    if 2 * comb(m - 1, (m - 1) // 2) * P[:, 0].nbytes > budget:
+    if m < 2:
+        return
+    width = comb(m - 1, (m - 1) // 2)  # of the widest kept level
+    if 2 * width * P[:, 0].nbytes > budget:
         for t in range(1, m):
             _children(traces, masked, P[:, t], high | 1 << t, t, budget)
         return
     kept = P[:, 1:]
+    buffers = np.empty((2, len(P), width) + P.shape[2:])
     for k, level in enumerate(levels[1:], 2):
+        spare = buffers[k % 2]  # the buffer kept does not live in
         head0 = kept.shape[1]
-        traces[level.masks[:head0] | high] = (kept @ masked[:, :1]).trace(axis1=2, axis2=3).T
-        heads = np.empty((len(P), comb(m - 1, k)) + P.shape[2:])
+        leaves = np.matmul(kept, masked[:, :1], out=spare[:, :head0])
+        traces[level.masks[:head0] | high] = leaves.trace(axis1=2, axis2=3).T
+        heads = spare[:, : comb(m - 1, k)]
         row = 0
         for t in range(1, m - k + 1):
             rows = comb(m - 1 - t, k - 1)

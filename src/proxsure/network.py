@@ -103,26 +103,16 @@ def random_stack(
 
 def _unit(h, W, Wbar):
     """One residual unit; returns (h', D, a) with a = D * (Wbar h) the
-    ReLU output that the backward pass reuses."""
-    z = h @ (W if Wbar is None else Wbar).T
-    D = z > 0.0
-    a = D * z
-    return (h - a @ W) if Wbar is None else (h + a @ W), D, a
+    ReLU output that the backward pass reuses.
 
-
-def residual_unit_forward(h, W, Wbar=None):
-    """One residual unit on the last axis; returns (h', mask).
-
-    General: h' = h + W^H (D * (Wbar h)), D = 1{Wbar h > 0}.
-    Symmetric (Wbar None): h' = h - W^H (D * (W h)), D = 1{W h > 0}.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[-1] != W.shape[1]:
-        raise DimensionMismatchError("residual unit input", W.shape[1], h.shape[-1])
-    if Wbar is not None and Wbar.shape != W.shape:
-        raise DimensionMismatchError("Wbar rows", W.shape[0], Wbar.shape[0])
-    h, D, _ = _unit(h, W, Wbar)
-    return h, D
+    a is written into the pre-activation buffer and h' into the a @ W
+    product, so a call allocates only the arrays it returns; h is read,
+    never written."""
+    a = h @ (W if Wbar is None else Wbar).T
+    D = a > 0.0
+    np.multiply(a, D, out=a)
+    p = a @ W
+    return (np.subtract(h, p, out=p) if Wbar is None else np.add(h, p, out=p)), D, a
 
 
 def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool = False):
@@ -138,12 +128,18 @@ def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool 
     x = apply_operator(op, y, "adjoint")
     rec = [] if record else None
     for t in range(stack.T):
-        h = x if G_x is None else x @ G_x.T + y @ G_y.T
+        if G_x is None:
+            h = x
+        else:
+            h = x @ G_x.T
+            h += y @ G_y.T
         units = []
         for W, Wbar in stack.layer_weights(t):
             h_next, D, a = _unit(h, W, Wbar)
-            units.append((h, D, a))
+            if record:
+                units.append((h, D, a))
             h = h_next
+            del D, a  # free them before the next unit allocates its own
         if record:
             rec.append((x, units))
         x = h
@@ -209,19 +205,6 @@ def frozen_mask_pass(masks, stack: ProximalStack, G_x, G_y, x, r) -> np.ndarray:
         for (W, Wbar), mask in zip(stack.layer_weights(t), masks[t]):
             x = stage_matrix(W, Wbar, mask) @ x
     return x
-
-
-def replay_from_trace(
-    trace: ForwardTrace,
-    stack: ProximalStack,
-    op: SensingOperator,
-    step: StepParams,
-    y,
-) -> np.ndarray:
-    """Rebuild x^T from the recorded masks via pseudo-linear stage products."""
-    y = np.asarray(y, dtype=np.float64)
-    x0 = apply_operator(op, y, "adjoint")
-    return frozen_mask_pass(trace.masks, stack, *step_matrices(op, step), x0, y)
 
 
 def forward_map(stack: ProximalStack, op: SensingOperator, step: StepParams):

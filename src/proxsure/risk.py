@@ -87,11 +87,15 @@ def dof_monte_carlo(
         delta = default_mc_delta(y)
     rng = np.random.default_rng(seed)
     if probe_dist == "rademacher":
-        probes = rng.integers(0, 2, size=(K, n)) * 2.0 - 1.0
+        probes = rng.integers(0, 2, size=(K, n)) * 2.0
+        probes -= 1.0
     else:
         probes = rng.standard_normal((K, n))
     base = h(y)
-    diffs = (h(y[None, :] + delta * probes) - base) / delta
+    shifted = delta * probes
+    shifted += y
+    diffs = np.subtract(h(shifted), base)  # a fresh array: h may return shifted
+    diffs /= delta
     if not np.all(np.isfinite(diffs)):
         raise NonFiniteError("non-finite output during Monte-Carlo probing")
     samples = np.einsum("ki,ki->k", probes, diffs)

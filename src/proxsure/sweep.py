@@ -123,6 +123,17 @@ def train_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, see
     return result, op, step, test_set, m_test
 
 
+def mc_dofs(cfg: ExperimentConfig, stack, op, step, Y, seed: int):
+    """Monte-Carlo DOF (estimate, standard error) of the network at each
+    row of Y, or None unless `dof.estimator` is "mc" and the Jacobian is
+    square (m == n). Input i's `dof.probes` probes are one draw from
+    default_rng([seed, i])."""
+    if cfg.dof_estimator != "mc" or op.m != op.n:
+        return None
+    h = forward_map(stack, op, step)
+    return [dof_monte_carlo(h, y, cfg.dof_probes, seed=[seed, i]) for i, y in enumerate(Y)]
+
+
 def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed: int) -> dict:
     """Train and evaluate one sweep cell; returns a SweepRow dict."""
     row = {c: math.nan for c in COLUMNS}
@@ -140,10 +151,9 @@ def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed:
         row["dof_exact_mean"] = float(np.mean(ev.dof))
     if ev.sure is not None:
         row["sure_mean"] = float(np.mean(ev.sure))
-    if cfg.dof_estimator == "mc":
-        h = forward_map(result.stack, op, step)
-        mc = [dof_monte_carlo(h, y, cfg.dof_probes, seed=[seed, i])[0] for i, y in enumerate(m_test)]
-        row["dof_mc_mean"] = float(np.mean(mc))
+    mc = mc_dofs(cfg, result.stack, op, step, m_test, seed)
+    if mc is not None:
+        row["dof_mc_mean"] = float(np.mean([estimate for estimate, _ in mc]))
     if ev.surrogate is not None:
         row.update(mu_w=ev.mu, rho_max=ev.rho_max, epsilon=ev.epsilon,
                    dof_surrogate=float(np.mean(ev.surrogate)), theorem1_bound=ev.bound)

@@ -93,3 +93,11 @@ def test_negative_seed_names_field():
     with pytest.raises(ConfigError) as err:
         parse_config("seeds = [2, -1]\n")
     assert "seeds" in str(err.value)
+
+
+def test_dof_estimator_accepts_only_the_estimators_that_act():
+    assert parse_config('dof.estimator = "mc"\n').dof_estimator == "mc"
+    # "fd" was accepted but read by nothing
+    with pytest.raises(ConfigError) as err:
+        parse_config('dof.estimator = "fd"\n')
+    assert "dof.estimator" in str(err.value)

@@ -369,6 +369,28 @@ def test_path_table_split_path_rows_equal_path_expansion():
     _assert_rows_match_path_expansion(*_random_mask_batch(np.random.default_rng(28), 2, 11, 64, 66))
 
 
+def test_path_table_batch_through_swapped_level_buffers_equals_path_expansion(monkeypatch):
+    # 7 inputs at T = 10, l = 16 fit the budget together, so one level
+    # expansion takes all of them through levels 2..10, whose products
+    # alternate between its two buffers
+    shapes = []
+    expand = jacobian._expand
+
+    def recording(traces, masked, P, high, budget):
+        shapes.append(P.shape[:2])
+        return expand(traces, masked, P, high, budget)
+
+    monkeypatch.setattr(jacobian, "_expand", recording)
+    W, masks = _random_mask_batch(np.random.default_rng(31), 7, 10, 16, 16)
+    _assert_rows_match_path_expansion(W, masks)
+    assert shapes[0] == (7, 10)
+    # path_expansion runs the same kernel, so check against products built anew
+    table, stack = path_table(W, masks), stack_for(W, 10)
+    for row, m in zip(table.traces, masks):
+        want = [t.trace_exact for t in _reference_path_expansion(trace_from_masks(m), stack)]
+        assert repr(row.tolist()) == repr(want)
+
+
 @pytest.mark.parametrize("budget", [None, 0, 20000])
 def test_path_surrogates_equal_dof_surrogate_of_path_expansion(monkeypatch, budget):
     if budget is not None:

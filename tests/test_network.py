@@ -1,17 +1,21 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from proxsure.network import (
     ProximalStack,
+    _unit,
     forward_map,
     load_stack,
     random_stack,
-    replay_from_trace,
-    residual_unit_forward,
     save_stack,
+    unroll,
     unroll_forward,
 )
 from proxsure.operators import StepParams, identity_operator, circular_operator
+from reference import replay_from_trace, residual_unit_forward
 
 
 IDENTITY_STEP = StepParams("gradient", 0.0)
@@ -55,6 +59,53 @@ def test_general_unit_uses_wbar_mask():
     # h + W^H relu(Wbar h) = (1,2) + (0.5,0)*2
     assert np.allclose(h, [2.0, 2.0])
     assert D.tolist() == [True]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("B", [None, 1, 8, 1024])  # None: one (n,) input
+def test_unit_is_byte_equal_to_the_textbook_unit(symmetric, B):
+    n, ell = 7, 5
+    rng = np.random.default_rng([40, B or 0, symmetric])
+    W = rng.standard_normal((ell, n))
+    W[:, 0] = 0.0  # column 0 of a @ W is a signed zero
+    Wbar = None if symmetric else rng.standard_normal((ell, n))
+    h = rng.standard_normal((n,) if B is None else (B, n))
+    h[..., 0] = -0.0
+    h_before = h.tobytes()
+
+    got = _unit(h, W, Wbar)
+    z = h @ (W if symmetric else Wbar).T
+    D = z > 0.0
+    a = D * z
+    want = (h - a @ W if symmetric else h + a @ W), D, a
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()  # -0.0 and 0.0 differ here
+        assert not np.shares_memory(g, h)
+    assert h.tobytes() == h_before
+    assert np.signbit(got[2][got[2] == 0.0]).any()  # inactive units give a = -0.0
+
+
+def test_unroll_holds_three_batch_arrays_per_unit():
+    # a unit allocates its a (B, l), its mask and the a @ W product that
+    # becomes h' (B, n), after the previous unit's a and mask are freed;
+    # holding those across units and forming D * z and h - a @ W apart
+    # would peak at 6.25 (B, 32) arrays
+    n = ell = 32
+    stack = random_stack(n, [ell], T=10, seed=41)
+    op = identity_operator(n)
+    y = np.random.default_rng(41).standard_normal((1024, n))
+    y_before = y.tobytes()
+    unroll(y, stack, op, None, None)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        x, _ = unroll(y, stack, op, None, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * y.nbytes
+    assert y.tobytes() == y_before and not np.shares_memory(x, y)
 
 
 def test_unroll_zero_weights_is_identity():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from proxsure.errors import DimensionMismatchError
 from proxsure.risk import (
+    default_mc_delta,
     dof_exact,
     dof_finite_difference,
     dof_monte_carlo,
@@ -242,6 +243,30 @@ def test_mc_probes_are_one_draw_from_the_seeded_generator():
     dof_monte_carlo(lambda v: batches.append(v) or v, np.zeros(3), 16, delta=1.0, seed=9)
     expected = np.random.default_rng(9).integers(0, 2, size=(16, 3)) * 2.0 - 1.0
     assert np.array_equal(batches[-1], expected)
+
+
+def _read_only_view(v):
+    v = np.asarray(v).view()
+    v.flags.writeable = False
+    return v
+
+
+@pytest.mark.parametrize("h", [lambda v: v, _read_only_view], ids=["identity", "read-only"])
+def test_mc_writes_into_no_array_of_h_or_the_caller(h):
+    n, K = 6, 32
+    y = np.random.default_rng(42).standard_normal(n)
+    y.flags.writeable = False
+    y_before = y.tobytes()
+    got = dof_monte_carlo(h, y, K, seed=[42, 1])
+
+    # the estimator's expression before its temporaries were reused
+    delta = default_mc_delta(y)
+    probes = np.random.default_rng([42, 1]).integers(0, 2, size=(K, n)) * 2.0 - 1.0
+    diffs = (h(y[None, :] + delta * probes) - h(y)) / delta
+    samples = np.einsum("ki,ki->k", probes, diffs)
+    want = float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(K))
+    assert repr(got) == repr(want)
+    assert y.tobytes() == y_before
 
 
 # --- the path surrogate from the batched kernel -----------------------------

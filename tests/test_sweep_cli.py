@@ -455,3 +455,50 @@ def test_cli_negative_seed_is_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(bad), "--out", str(tmp_path / "s")]) == 1
     assert "seeds" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_cli_evaluate_honours_the_mc_estimator(tmp_path, capsys):
+    import numpy as np
+
+    from proxsure.config import build_operator, build_step
+    from proxsure.network import forward_map, load_stack
+    from proxsure.risk import dof_monte_carlo
+
+    text = TINY_CONFIG + 'dof.estimator = "mc"\ndof.probes = 16\n'
+    cfg_path = tmp_path / "mc.txt"
+    cfg_path.write_text(text)
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    weights = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["weights"]
+    assert cli.main(["evaluate", weights, "--config", str(cfg_path), "--per-input"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    summary, per_input = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+
+    # input i's probes are seeded [seed, i], as in run_cell
+    cfg = parse_config(text)
+    op = build_operator(cfg)
+    _, y_test = sweep.cell_split(cfg, op, cfg.sigma[0], cfg.n_test, cfg.seeds[0], test=True)
+    h = forward_map(load_stack(weights), op, build_step(cfg))
+    want = [dof_monte_carlo(h, y, 16, seed=[cfg.seeds[0], i]) for i, y in enumerate(y_test)]
+    assert [(r["dof_mc"], r["mc_std_error"], r["mc_probes"]) for r in per_input] == [
+        (estimate, se, 16) for estimate, se in want
+    ]
+    assert summary["dof_mc_mean"] == float(np.mean([estimate for estimate, _ in want]))
+
+    (tmp_path / "exact.txt").write_text(TINY_CONFIG)
+    assert cli.main(["evaluate", weights, "--config", str(tmp_path / "exact.txt")]) == 0
+    assert "dof_mc_mean" not in json.loads(capsys.readouterr().out.strip().splitlines()[0])
+
+
+def test_cli_fd_estimator_is_config_error_exit_code(tmp_path, capsys):
+    bad = tmp_path / "fd.txt"
+    bad.write_text(TINY_CONFIG + 'dof.estimator = "fd"\n')
+    assert cli.main(["evaluate", str(tmp_path / "weights.bin"), "--config", str(bad)]) == 1
+    assert "dof.estimator" in capsys.readouterr().err
+
+
+def test_run_cell_mc_estimator_skips_a_non_square_jacobian():
+    # the probe divergence needs h(y) and y of one size, as the exact DOF does
+    cfg = parse_config(DFT_CONFIG + 'dof.estimator = "mc"\ndof.probes = 4\n')
+    row = sweep.run_cell(cfg, "ws", 0.2, 8, 0)
+    assert row["status"] == "ok" and math.isnan(row["dof_mc_mean"])
+    assert math.isnan(row["dof_exact_mean"])

@@ -254,6 +254,7 @@ def test_fixed_point_jacobian_orthonormal_rows():
     assert result.projector_residual <= 1e-6
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as train() runs a diverging lr
 def _reference_train(x, y, x_test, y_test, op, step, hidden, T, mode, symmetric,
                      lr_grid, epochs, batch, seed):
     """train() spelled out with the public step functions, one weight list
