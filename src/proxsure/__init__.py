@@ -26,7 +26,6 @@ from .jacobian import (
     path_table,
 )
 from .network import (
-    ForwardTrace,
     ProximalStack,
     forward_map,
     load_stack,
@@ -37,9 +36,7 @@ from .network import (
 from .operators import (
     SensingOperator,
     StepParams,
-    adjoint_gap,
     apply_operator,
-    apply_step,
     circular_operator,
     dense_operator,
     dft_operator,

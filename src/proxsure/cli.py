@@ -141,8 +141,8 @@ def _cmd_jacobian_report(args) -> int:
     op = build_operator(cfg)
     step = build_step(cfg)
     y = np.asarray(json.loads(args.input), dtype=np.float64)
-    _, tr = unroll_forward(y, stack, op, step, record=True)
-    print(jacobian_report(tr, stack, op, step, max_T=cfg.path_cap).to_json())
+    _, masks = unroll_forward(y, stack, op, step, record=True)
+    print(jacobian_report(masks, stack, op, step, max_T=cfg.path_cap).to_json())
     return 0
 
 

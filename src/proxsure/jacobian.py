@@ -26,7 +26,7 @@ from .errors import (
     PathCapExceededError,
     UnsupportedArchitectureError,
 )
-from .network import ForwardTrace, ProximalStack, frozen_mask_pass
+from .network import ProximalStack, frozen_mask_pass
 from .operators import SensingOperator, StepParams, operator_matrix, step_matrices
 
 DEFAULT_PATH_CAP = 14
@@ -62,23 +62,23 @@ class PathTable(NamedTuple):
 
 
 def accumulate_jacobian(
-    trace: ForwardTrace,
+    masks,
     stack: ProximalStack,
     op: SensingOperator,
     step: StepParams,
 ) -> np.ndarray:
     """Assemble d x^T / d y (n-by-m) with the recorded masks frozen."""
-    if len(trace.masks) != stack.T:
+    if len(masks) != stack.T:
         raise ValueError("trace does not match the stack's iteration count")
     for t in range(stack.T):
-        for (W, _), mask in zip(stack.layer_weights(t), trace.masks[t]):
+        for (W, _), mask in zip(stack.layer_weights(t), masks[t]):
             if mask.shape[-1] != W.shape[0]:
                 raise DimensionMismatchError(
                     "trace mask width", W.shape[0], mask.shape[-1]
                 )
     G_x, G_y = step_matrices(op, step)
     # d x^0 / d y = Phi^H, and the data step's y-term has Jacobian G_y
-    return frozen_mask_pass(trace.masks, stack, G_x, G_y, operator_matrix(op).T, np.eye(op.m))
+    return frozen_mask_pass(masks, stack, G_x, G_y, operator_matrix(op).T, np.eye(op.m))
 
 
 def jacobian_trace_exact(J: np.ndarray) -> float:
@@ -102,26 +102,6 @@ def _gram(W: np.ndarray):
 def incoherence(W: np.ndarray) -> float:
     """Largest off-diagonal magnitude of W W^H; 0 for a single row."""
     return _gram(np.asarray(W, dtype=np.float64))[2]
-
-
-def norm_matrix_b(W: np.ndarray) -> np.ndarray:
-    """Squared row norms: the diagonal of W W^H."""
-    W = np.asarray(W, dtype=np.float64)
-    return np.einsum("ij,ij->i", W, W)
-
-
-def _expansion_weights(trace: ForwardTrace, stack: ProximalStack):
-    if stack.K != 1 or not stack.symmetric:
-        raise UnsupportedArchitectureError(
-            "path expansion needs a symmetric single-layer stack (K=1)"
-        )
-    if stack.mode != "ws":
-        raise UnsupportedArchitectureError(
-            "path expansion needs shared weights across iterations"
-        )
-    W = stack.weights[0][0][0]
-    masks = np.array([trace.masks[t][0] for t in range(stack.T)], dtype=np.float64)
-    return W, masks
 
 
 # Bytes of temporaries (l-by-l products, joint masks) that the path
@@ -316,20 +296,27 @@ def path_surrogates(W, masks, n: int):
 
 
 def path_expansion(
-    trace: ForwardTrace,
+    masks,
     stack: ProximalStack,
     max_T: int = DEFAULT_PATH_CAP,
 ) -> PathExpansion:
-    """Enumerate all 2^T - 1 nonempty iteration subsets of one input, in
-    combinations order (by size, then lexicographically): the one-input
-    case of `path_table`, as PathTerms."""
-    W, d = _expansion_weights(trace, stack)  # d: (T, l) 0/1 masks
+    """Enumerate all 2^T - 1 nonempty iteration subsets of one input's
+    recorded masks, in combinations order (by size, then
+    lexicographically): the one-input case of `path_table`, as PathTerms."""
+    if stack.K != 1 or not stack.symmetric:
+        raise UnsupportedArchitectureError(
+            "path expansion needs a symmetric single-layer stack (K=1)"
+        )
+    if stack.mode != "ws":
+        raise UnsupportedArchitectureError(
+            "path expansion needs shared weights across iterations"
+        )
     T = stack.T
     if T > max_T:
         raise PathCapExceededError(
             f"path expansion for T={T} exceeds the cap {max_T} (2^T subsets)"
         )
-    table = path_table(W, d[None])
+    table = path_table(stack.weights[0][0][0], [[masks[t][0] for t in range(T)]])
     levels = _subset_levels(T)
     sparsity = table.sparsities[0]
     terms = PathExpansion(map(
@@ -373,12 +360,6 @@ def dof_surrogate(terms: list[PathTerm], n: int, mu: float, rho=None):
     return surrogate, eps, theorem1_bound(eps, T), eps < 1.0
 
 
-def path_deviation(term: PathTerm, slack: float = 1e-12):
-    """(deviation, bound, satisfied) for one path term."""
-    dev = abs(term.trace_exact - term.path_sparsity)
-    return dev, term.deviation_bound, dev <= term.deviation_bound + slack
-
-
 @dataclass
 class JacobianReport:
     """Exact trace, expansion terms, and the surrogate with its bound."""
@@ -419,15 +400,15 @@ class JacobianReport:
 
 
 def jacobian_report(
-    trace: ForwardTrace,
+    masks,
     stack: ProximalStack,
     op: SensingOperator,
     step: StepParams,
     max_T: int = DEFAULT_PATH_CAP,
 ) -> JacobianReport:
     """Full single-input analysis: exact Jacobian plus the path expansion."""
-    J = accumulate_jacobian(trace, stack, op, step)
-    terms = path_expansion(trace, stack, max_T=max_T)
+    J = accumulate_jacobian(masks, stack, op, step)
+    terms = path_expansion(masks, stack, max_T=max_T)
     rho = [t.sparsities[0] for t in terms[: stack.T]]  # the singletons (1,) .. (T,)
     surrogate, eps, bound, _ = dof_surrogate(terms, stack.n, terms.mu, rho)
     return JacobianReport(

@@ -6,7 +6,7 @@ acting as h -> (I - W^H D W) h, where the mask D = 1{W h > 0} so the
 stage matrix is the exact local Jacobian. ReLU at exactly zero counts
 as inactive.
 
-Every forward pass (training, evaluation, trace recording) runs the one
+Every forward pass (training, evaluation, mask recording) runs the one
 kernel `unroll` on the data step's matrices (G_x, G_y), so they all see
 the same network bit for bit. `frozen_mask_pass` runs the network with
 recorded masks frozen: on y it replays x^T, on Phi^H the Jacobian.
@@ -146,16 +146,6 @@ def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool 
     return x, rec
 
 
-@dataclass
-class ForwardTrace:
-    """States, pre-proximal states, and activation masks of one forward pass."""
-
-    states: list  # x^0 .. x^T
-    pre_prox: list  # s^1 .. s^T
-    layer_inputs: list  # layer_inputs[t][k] = h fed to unit k at iteration t+1
-    masks: list  # masks[t][k] boolean array of layer width
-
-
 def unroll_forward(
     y,
     stack: ProximalStack,
@@ -163,10 +153,11 @@ def unroll_forward(
     step: StepParams,
     record: bool = True,
 ):
-    """Run the unrolled network on y; returns (x^T, trace or None).
+    """Run the unrolled network on y; returns (x^T, masks or None).
 
-    Accepts a single (m,) vector or a batch (B, m); the trace is only
-    recorded for single vectors.
+    Accepts a single (m,) vector or a batch (B, m); the masks are only
+    recorded for single vectors, masks[t][k] the mask of unit k at
+    iteration t: the layout `frozen_mask_pass` takes.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape[-1] != op.m:
@@ -176,12 +167,7 @@ def unroll_forward(
     x, rec = unroll(y, stack, op, *step_matrices(op, step), record=record)
     if not record:
         return x, None
-    return x, ForwardTrace(
-        [x_in for x_in, _ in rec] + [x],
-        [units[0][0] for _, units in rec],
-        [[h for h, _, _ in units] for _, units in rec],
-        [[D for _, D, _ in units] for _, units in rec],
-    )
+    return x, [[D for _, D, _ in units] for _, units in rec]
 
 
 def stage_matrix(W, Wbar, mask) -> np.ndarray:

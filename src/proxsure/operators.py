@@ -163,52 +163,6 @@ class StepParams:
             raise ValueError("deblur least-squares step needs alpha > 0")
 
 
-def gradient_step(x, y, op: SensingOperator, alpha: float):
-    """alpha * Phi^H y + (I - alpha * Phi^H Phi) x."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_len(x, op.n, "gradient step state")
-    if alpha == 0.0:
-        return x.copy()
-    back = apply_operator(op, y, "adjoint")
-    return x + alpha * (back - apply_operator(op, apply_operator(op, x), "adjoint"))
-
-
-def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve system @ out = rhs along the last axis of rhs."""
-    if np.linalg.cond(system) > 1e12:
-        raise SingularSystemError(
-            "least-squares system matrix is numerically singular"
-        )
-    if rhs.ndim == 1:
-        return np.linalg.solve(system, rhs)
-    n = rhs.shape[-1]
-    flat = rhs.reshape(-1, n)
-    return np.linalg.solve(system, flat.T).T.reshape(rhs.shape)
-
-
-def least_squares_step(x, y, op: SensingOperator, alpha: float, kind: str = "mixing"):
-    """Proximal least-squares update on the Gram matrix Phi^H Phi.
-
-    mixing: (alpha G + (1-alpha) I)^-1 (alpha Phi^H y + (1-alpha) x)
-    deblur: (G + alpha I)^-1 (Phi^H y + alpha x)
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_len(x, op.n, "least-squares step state")
-    G = gram_matrix(op)
-    back = apply_operator(op, y, "adjoint")
-    if kind == "mixing":
-        system = alpha * G + (1.0 - alpha) * np.eye(op.n)
-        rhs = alpha * back + (1.0 - alpha) * x
-    elif kind == "deblur":
-        system = G + alpha * np.eye(op.n)
-        rhs = back + alpha * x
-    else:
-        raise ValueError(f"unknown least-squares kind {kind!r}")
-    return _solve(system, rhs)
-
-
 def step_matrices(op: SensingOperator, step: StepParams):
     """Jacobians (G_x, G_y) of the data-consistency step s = G_x x + G_y y,
     or (None, None) when the step is the identity map s = x (`gradient` or
@@ -233,21 +187,3 @@ def step_matrices(op: SensingOperator, step: StepParams):
         raise SingularSystemError("deblur system matrix is singular")
     inv = np.linalg.inv(system)
     return step.alpha * inv, inv @ adj
-
-
-def apply_step(x, y, op: SensingOperator, step: StepParams):
-    """Run the configured data-consistency step."""
-    if step.kind == "gradient":
-        return gradient_step(x, y, op, step.alpha)
-    if step.kind == "ls":
-        return least_squares_step(x, y, op, step.alpha, "mixing")
-    return least_squares_step(x, y, op, step.alpha, "deblur")
-
-
-def adjoint_gap(op: SensingOperator, rng: np.random.Generator) -> float:
-    """|<Phi u, v> - <u, Phi^H v>| / (||u|| ||v||) for one random pair."""
-    u = rng.standard_normal(op.n)
-    v = rng.standard_normal(op.m)
-    lhs = float(apply_operator(op, u) @ v)
-    rhs = float(u @ apply_operator(op, v, "adjoint"))
-    return abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v))

@@ -33,6 +33,14 @@ def rss(y, xhat) -> float:
 dof_exact = jacobian_trace_exact
 
 
+def _output(h, y):
+    """h(y), shaped like y: a divergence needs a square Jacobian."""
+    out = np.asarray(h(y))
+    if out.shape != y.shape:
+        raise DimensionMismatchError("divergence of h: shape of h(y)", y.shape, out.shape)
+    return out
+
+
 def default_fd_delta(y) -> float:
     return 1e-6 * (1.0 + float(np.max(np.abs(y))))
 
@@ -48,9 +56,9 @@ def dof_finite_difference(h, y, delta: float | None = None) -> float:
         delta = default_fd_delta(y)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    base = h(y)
+    base = _output(h, y)
     shifted = h(y[None, :] + delta * np.eye(n))
-    diag = np.diagonal(shifted) - np.asarray(base)
+    diag = np.diagonal(shifted) - base
     if not np.all(np.isfinite(diag)):
         bad = int(np.flatnonzero(~np.isfinite(diag))[0])
         raise NonFiniteError(f"non-finite output at coordinate {bad}")
@@ -83,6 +91,7 @@ def dof_monte_carlo(
         raise ValueError(f"unknown probe distribution {probe_dist!r}")
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[-1]
+    base = _output(h, y)
     if delta is None:
         delta = default_mc_delta(y)
     rng = np.random.default_rng(seed)
@@ -91,7 +100,6 @@ def dof_monte_carlo(
         probes -= 1.0
     else:
         probes = rng.standard_normal((K, n))
-    base = h(y)
     shifted = delta * probes
     shifted += y
     diffs = np.subtract(h(shifted), base)  # a fresh array: h may return shifted
@@ -120,20 +128,6 @@ def mse_psnr(xhat, x_true):
     mse = float(np.mean((xhat - x_true) ** 2))
     psnr = math.inf if mse == 0.0 else -10.0 * math.log10(mse)
     return mse, psnr
-
-
-def residual_identity(J, y):
-    """Both sides of ||Jy - y||^2 = ||Jy||^2 - 2 y^H J y + ||y||^2.
-
-    This is the exact algebraic identity behind the RSS decomposition of
-    a mask-frozen linearization; returns (lhs, rhs).
-    """
-    J = np.asarray(J, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    Jy = J @ y
-    lhs = float(np.sum((Jy - y) ** 2))
-    rhs = float(Jy @ Jy - 2.0 * (y @ Jy) + y @ y)
-    return lhs, rhs
 
 
 @dataclass
@@ -178,31 +172,25 @@ def sure_report(
     x_true=None,
     mc_probes: int | None = None,
     mc_seed: int = 0,
-    primary_dof: str = "exact",
 ) -> SureReport:
-    """Evaluate the full SURE decomposition for one input."""
+    """Evaluate the full SURE decomposition for one input; its DOF is
+    tr J when J is given, else finite differences (see primary_dof)."""
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[-1]
     xhat = h(y)
-    report = SureReport(n=n, sigma=sigma, rss=rss(y, xhat), primary_dof=primary_dof)
+    report = SureReport(n=n, sigma=sigma, rss=rss(y, xhat))
     report.output_norm = float(np.linalg.norm(xhat))
     if J is not None:
-        report.dof_exact = dof_exact(J)
-    if primary_dof == "fd" or J is None:
-        report.dof_fd = dof_finite_difference(h, y)
+        report.dof_exact = dof = dof_exact(J)
+    else:
+        report.dof_fd = dof = dof_finite_difference(h, y)
+        report.primary_dof = "fd"
     if mc_probes:
         report.dof_mc, report.mc_std_error = dof_monte_carlo(
             h, y, mc_probes, seed=mc_seed
         )
         report.mc_probes = mc_probes
-    chosen = {
-        "exact": report.dof_exact,
-        "fd": report.dof_fd,
-        "mc": report.dof_mc,
-    }[primary_dof]
-    if chosen is None:
-        raise ValueError(f"primary DOF estimator {primary_dof!r} was not computed")
-    report.sure = sure(report.rss, chosen, n, sigma)
+    report.sure = sure(report.rss, dof, n, sigma)
     if x_true is not None:
         report.mse_vs_truth, report.psnr = mse_psnr(xhat, x_true)
     return report

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, sample_correlation
 from .errors import NonFiniteError, TrainingFailureError
 from .jacobian import accumulate_jacobian
 from .network import ProximalStack, random_stack, unroll, unroll_forward
@@ -338,8 +338,7 @@ def pca_closed_form(dataset: Dataset, sigma2: float):
         raise ValueError("empty dataset")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    X = dataset.samples
-    C = (X.T @ X) / dataset.N
+    C = sample_correlation(dataset)
     eigvals, eigvecs = np.linalg.eigh(C)
     below = eigvals < sigma2
     W = eigvecs[:, below].T
@@ -429,5 +428,5 @@ def fixed_point_jacobian(W: np.ndarray, y, iterations: int) -> np.ndarray:
     stack = ProximalStack(n=W.shape[1], T=iterations, mode="ws", symmetric=True,
                           weights=(((W, None),),))
     op, step = identity_operator(stack.n), StepParams("gradient", 0.0)
-    _, trace = unroll_forward(y, stack, op, step)
-    return accumulate_jacobian(trace, stack, op, step)
+    _, masks = unroll_forward(y, stack, op, step)
+    return accumulate_jacobian(masks, stack, op, step)

@@ -74,11 +74,6 @@ def _sample_regular_inputs(stack, op, step, rng, count, margin=1e-4, attempts=50
     return Y
 
 
-def _sample_regular_input(stack, op, step, rng, margin=1e-4, attempts=50):
-    """Random input whose pre-activations stay away from the ReLU boundary."""
-    return _sample_regular_inputs(stack, op, step, rng, 1, margin, attempts)[0]
-
-
 def _square_dft(n: int) -> SensingOperator:
     """Subsampled DFT whose stacked real output has m = n."""
     half = n // 4
@@ -269,7 +264,7 @@ def verify_lemma2(
     details = []
     for seed in seeds:
         dataset = datamod.generate_subspace_data(n, rank, N, seed=seed)
-        C = (dataset.samples.T @ dataset.samples) / N
+        C = datamod.sample_correlation(dataset)
         eigvals = np.linalg.eigvalsh(C)
         signal = eigvals[eigvals > 1e-8]
         sigma2 = 0.5 * signal.min()  # between zero and the smallest signal eigenvalue

@@ -30,7 +30,6 @@ from proxsure.train import (
     stack_with_weights,
 )
 from proxsure.verify import (
-    _sample_regular_input,
     verify_jacobian,
     verify_lemma2,
     verify_lemma3,
@@ -39,6 +38,7 @@ from proxsure.verify import (
     verify_theorem1,
     verify_theorem1_trained,
 )
+from reference import _sample_regular_input
 
 STEP0 = StepParams("gradient", 0.0)
 

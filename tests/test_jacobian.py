@@ -18,23 +18,22 @@ from proxsure.jacobian import (
     incoherence,
     jacobian_report,
     jacobian_trace_exact,
-    norm_matrix_b,
-    path_deviation,
     path_expansion,
     path_surrogates,
     path_table,
 )
-from proxsure.network import ForwardTrace, ProximalStack, random_stack, unroll_forward
+from proxsure.network import ProximalStack, random_stack, unroll_forward
 from proxsure.operators import StepParams, identity_operator
 from proxsure.risk import dof_finite_difference
 from proxsure.network import forward_map
+from reference import norm_matrix_b, path_deviation
 
 STEP0 = StepParams("gradient", 0.0)
 
 
 def trace_from_masks(masks):
-    """Synthetic single-layer trace carrying only activation masks."""
-    return ForwardTrace([], [], [], [[np.asarray(m, dtype=bool)] for m in masks])
+    """Synthetic single-layer trace: the masks of one unit per iteration."""
+    return [[np.asarray(m, dtype=bool)] for m in masks]
 
 
 def stack_for(W, T):
@@ -197,7 +196,7 @@ def _reference_path_expansion(trace, stack):
     """Per-subset reference: every subset's product, joint mask and
     deviation bound built anew."""
     W = stack.weights[0][0][0]
-    masks = [trace.masks[t][0].astype(np.float64) for t in range(stack.T)]
+    masks = [trace[t][0].astype(np.float64) for t in range(stack.T)]
     T = stack.T
     G = W @ W.T
     b = np.diag(G)
@@ -266,7 +265,7 @@ def test_path_sparsity_alternating_sum_matches_closed_form():
         terms = path_expansion(tr, stack)
         enumerated = n + sum((-1.0) ** len(t.index_set) * t.path_sparsity for t in terms)
         b = norm_matrix_b(stack.weights[0][0][0])
-        d = np.array([m[0] for m in tr.masks], dtype=np.float64)
+        d = np.array([m[0] for m in tr], dtype=np.float64)
         closed = n + float(np.sum(np.prod(1.0 - d * b, axis=0) - 1.0))
         assert abs(enumerated - closed) <= 1e-10 * max(1.0, abs(closed))
 
@@ -429,7 +428,7 @@ def test_jacobian_report_forms_the_gram_matrix_once(monkeypatch):
     report = jacobian_report(tr, stack, identity_operator(6), STEP0)
     assert calls == [(3, 6)]
     assert report.mu_w == gram(stack.weights[0][0][0])[2]
-    assert report.rho == [float(m[0].sum()) for m in tr.masks]
+    assert report.rho == [float(m[0].sum()) for m in tr]
 
 
 @pytest.mark.parametrize("B, T, ell", [(64, 10, 16), (8, 12, 64)])

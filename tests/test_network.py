@@ -14,7 +14,7 @@ from proxsure.network import (
     unroll,
     unroll_forward,
 )
-from proxsure.operators import StepParams, identity_operator, circular_operator
+from proxsure.operators import StepParams, circular_operator, dft_operator, identity_operator
 from reference import replay_from_trace, residual_unit_forward
 
 
@@ -138,12 +138,16 @@ def test_ws_equals_wc_with_copied_weights():
     assert np.array_equal(x_ws, x_wc)
 
 
-def test_replay_matches_forward():
-    n = 8
-    op = circular_operator(np.array([0.6, 0.4]), n=n)
-    step = StepParams("ls", 0.5)
-    stack = random_stack(n, [5], T=3, seed=9)
-    y = np.random.default_rng(1).standard_normal(n)
+@pytest.mark.parametrize("op, step, stack", [
+    (circular_operator(np.array([0.6, 0.4]), n=8), StepParams("ls", 0.5),
+     random_stack(8, [5], T=3, seed=9)),
+    (circular_operator(np.array([0.6, 0.4]), n=8), StepParams("ls", 0.5),
+     random_stack(8, [5, 3], T=3, mode="wc", symmetric=False, seed=9)),
+    (dft_operator(8, [1]), StepParams("gradient", 0.3),
+     random_stack(8, [5], T=3, seed=9)),
+], ids=["ws-K1", "wc-nonsymmetric-K2", "dft-gradient"])
+def test_replay_matches_forward(op, step, stack):
+    y = np.random.default_rng(1).standard_normal(op.m)
     x, trace = unroll_forward(y, stack, op, step)
     replayed = replay_from_trace(trace, stack, op, step, y)
     assert np.linalg.norm(replayed - x) <= 1e-10 * (1 + np.linalg.norm(x))
@@ -153,9 +157,8 @@ def test_trace_masks_have_layer_widths():
     stack = random_stack(6, [4, 3], T=2, symmetric=False, seed=2)
     y = np.random.default_rng(2).standard_normal(6)
     _, trace = unroll_forward(y, stack, identity_operator(6), IDENTITY_STEP)
-    assert len(trace.masks) == 2
-    assert [m.shape[0] for m in trace.masks[0]] == [4, 3]
-    assert len(trace.states) == 3  # x^0, x^1, x^2
+    assert len(trace) == 2
+    assert [m.shape[0] for m in trace[0]] == [4, 3]
 
 
 def test_stack_validation():

@@ -13,11 +13,11 @@ from proxsure.risk import (
     dof_finite_difference,
     dof_monte_carlo,
     mse_psnr,
-    residual_identity,
     rss,
     sure,
     sure_report,
 )
+from reference import residual_identity
 
 
 def test_rss_values():
@@ -120,6 +120,7 @@ def test_sure_report_json():
     assert payload["mse_normalization"] == "mean"
     assert payload["mc_probes"] == 16
     # SURE assembled from the designated estimator
+    assert payload["primary_dof"] == "exact" and payload["dof_fd"] is None
     assert payload["sure"] == pytest.approx(
         -n * 0.01 + rep.rss + 2 * 0.01 * 2.5
     )
@@ -312,3 +313,28 @@ def test_evaluate_set_surrogate_at_T14_within_budget():
         tracemalloc.stop()
     assert ev.surrogate.shape == (128,) and np.all(np.isfinite(ev.surrogate))
     assert peak - without <= jacobian._PRODUCT_BUDGET
+
+
+@pytest.mark.parametrize("omega", [range(8), [1]], ids=["m>n", "m<n"])
+@pytest.mark.parametrize("estimator", [
+    dof_finite_difference,
+    lambda h, y: dof_monte_carlo(h, y, K=16),
+], ids=["fd", "mc"])
+def test_dof_estimators_reject_an_output_of_another_size(estimator, omega):
+    # y -> x^T maps m = 16 (or 4) measurements to n = 8 outputs: its
+    # Jacobian is not square, so it has no divergence
+    op = dft_operator(8, omega)
+    h = forward_map(random_stack(8, [6], T=2), op, StepParams())
+    y = np.random.default_rng(12).standard_normal(op.m)
+    with pytest.raises(DimensionMismatchError):
+        estimator(h, y)
+
+
+def test_sure_report_without_jacobian_uses_finite_differences():
+    n = 5
+    A = 0.5 * np.eye(n)
+    y = np.random.default_rng(2).standard_normal(n)
+    rep = sure_report(lambda v: v @ A.T, y, sigma=0.1)
+    assert rep.dof_exact is None and rep.primary_dof == "fd"
+    assert rep.dof_fd == pytest.approx(2.5)
+    assert rep.sure == sure(rep.rss, rep.dof_fd, n, 0.1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from proxsure.jacobian import path_expansion
-from proxsure.network import ForwardTrace, ProximalStack
+from proxsure.network import ProximalStack
 from proxsure.verify import VerifyReport, brute_force_subset_objective, verify_lemma3, verify_lemma4
 
 
@@ -57,7 +57,7 @@ def _reference_lemma4(trials, n=16, ell=8, T=4, max_order=4, n_inputs=64, seed=0
         acc = {}
         for _ in range(n_inputs):
             masks = [[W @ rng.standard_normal(n) > 0.0] for _ in range(T)]
-            for term in path_expansion(ForwardTrace([], [], [], masks), stack):
+            for term in path_expansion(masks, stack):
                 if len(term.index_set) > max_order:
                     continue
                 acc.setdefault(term.index_set, []).append(
