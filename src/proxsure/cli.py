@@ -81,8 +81,9 @@ def _cmd_evaluate(args) -> int:
     mc = mc_dofs(cfg, stack, op, step, y_test, cfg.seeds[0])
     reports = []
     for i, (xhat, x) in enumerate(zip(ev.xhat, test_set.samples)):
-        report = SureReport(n=op.m, sigma=sigma, rss=float(ev.rss[i]),
-                            output_norm=float(np.linalg.norm(xhat)))
+        report = SureReport(n=op.n, sigma=sigma, rss=float(ev.rss[i]),
+                            output_norm=float(np.linalg.norm(xhat)),
+                            primary_dof=None if ev.dof is None else "exact")
         if ev.dof is not None:
             report.dof_exact = float(ev.dof[i])
         if mc is not None:

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field, asdict
 
 from .errors import ConfigError
 
-PIXEL_SIGMA_PRESET = (15.0, 25.0, 50.0, 100.0)  # pixel scale, divided by 255
-
 
 @dataclass
 class ExperimentConfig:
@@ -47,7 +45,7 @@ class ExperimentConfig:
     opt_epochs: int = 20
     opt_batch: int = 8
     opt_anneal_at: int = -1  # epoch index; -1 disables the x0.1 anneal preset
-    opt_max_steps: int = -1  # cap on minibatch steps; -1 means unlimited
+    opt_max_steps: int = -1  # cap on minibatch steps per lr; -1 means unlimited
     # evaluation
     seeds: list = field(default_factory=lambda: [0])
     dof_estimator: str = "exact"
@@ -61,7 +59,7 @@ class ExperimentConfig:
 
 _SCHEMA = {
     "operator.kind": ("operator_kind", str, lambda v: v in ("identity", "dense", "circular", "dft"), "one of identity/dense/circular/dft"),
-    "operator.kernel": ("operator_kernel", list, None, None),
+    "operator.kernel": ("operator_kernel", list, lambda v: all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v), "a flat list of numbers"),
     "operator.omega": ("operator_omega", list, None, None),
     "operator.matrix": ("operator_matrix", list, None, None),
     "sigma": ("sigma", list, lambda v: len(v) > 0 and all(isinstance(s, (int, float)) and s > 0 for s in v), "positive number(s)"),
@@ -83,7 +81,7 @@ _SCHEMA = {
     "optimizer.epochs": ("opt_epochs", int, lambda v: v >= 1, ">= 1"),
     "optimizer.batch": ("opt_batch", int, lambda v: v >= 1, ">= 1"),
     "optimizer.anneal_at": ("opt_anneal_at", int, None, None),
-    "optimizer.max_steps": ("opt_max_steps", int, None, None),
+    "optimizer.max_steps": ("opt_max_steps", int, lambda v: v == -1 or v >= 1, "-1 (unlimited) or >= 1"),
     "seeds": ("seeds", list, lambda v: len(v) > 0 and all(isinstance(x, int) and x >= 0 for x in v), "non-negative integer seeds"),
     "dof.estimator": ("dof_estimator", str, lambda v: v in ("exact", "mc"), "exact or mc"),
     # input i's probes are one draw from default_rng([seed, i]), distinct
@@ -147,6 +145,8 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("step.alpha", "deblur step needs alpha > 0")
     if cfg.operator_kind == "circular" and not cfg.operator_kernel:
         raise ConfigError("operator.kernel", "circular operator needs a kernel")
+    if cfg.operator_kind == "circular" and len(cfg.operator_kernel) > cfg.n:
+        raise ConfigError("operator.kernel", f"kernel longer than n = {cfg.n}")
     if cfg.operator_kind == "dft" and not cfg.operator_omega:
         raise ConfigError("operator.omega", "dft operator needs a frequency set")
     if cfg.operator_kind == "dense" and not cfg.operator_matrix:
@@ -172,10 +172,7 @@ def build_operator(cfg: ExperimentConfig):
     if cfg.operator_kind == "dense":
         return ops.dense_operator(cfg.operator_matrix)
     if cfg.operator_kind == "circular":
-        import numpy as np
-
-        k = np.asarray(cfg.operator_kernel, dtype=float)
-        return ops.circular_operator(k, n=cfg.n)
+        return ops.circular_operator(cfg.operator_kernel, n=cfg.n)
     return ops.dft_operator(cfg.n, cfg.operator_omega)
 
 

@@ -331,9 +331,11 @@ def path_expansion(
     return terms
 
 
-def theorem1_bound(eps: float, T: int) -> float:
-    """Theorem 1's surrogate error bound (1 + eps)^T - 1 - eps*T."""
-    return float((1.0 + eps) ** T - 1.0 - eps * T)
+def theorem1_bound(mu: float, rho_max: float, T: int) -> tuple[float, float]:
+    """Theorem 1's eps = mu * rho_max^(3/2) and its surrogate error bound
+    (1 + eps)^T - 1 - eps*T; returns (eps, bound)."""
+    eps = float(mu * rho_max**1.5)
+    return eps, float((1.0 + eps) ** T - 1.0 - eps * T)
 
 
 def dof_surrogate(terms: list[PathTerm], n: int, mu: float, rho=None):
@@ -356,8 +358,8 @@ def dof_surrogate(terms: list[PathTerm], n: int, mu: float, rho=None):
     surrogate = float(n) + sum(
         (-1.0) ** len(t.index_set) * t.path_sparsity for t in terms
     )
-    eps = float(mu * rho_max**1.5)
-    return surrogate, eps, theorem1_bound(eps, T), eps < 1.0
+    eps, bound = theorem1_bound(mu, rho_max, T)
+    return surrogate, eps, bound, eps < 1.0
 
 
 @dataclass

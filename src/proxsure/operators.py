@@ -31,7 +31,6 @@ class SensingOperator:
     m: int
     matrix: np.ndarray | None = field(default=None, repr=False)
     kernel: np.ndarray | None = field(default=None, repr=False)
-    grid: tuple[int, int] | None = None
     omega: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -53,27 +52,16 @@ def dense_operator(matrix) -> SensingOperator:
     return SensingOperator("dense", n=n, m=m, matrix=A)
 
 
-def circular_operator(kernel, n: int | None = None, grid=None) -> SensingOperator:
-    """Circular convolution with a 1-D kernel, or 2-D on a flattened grid."""
+def circular_operator(kernel, n: int) -> SensingOperator:
+    """Circular convolution of a length-n signal with a 1-D kernel."""
     k = np.asarray(kernel, dtype=np.float64)
-    if k.ndim == 1:
-        if n is None:
-            raise ValueError("1-D circular operator needs n")
-        if len(k) > n:
-            raise ValueError("kernel longer than the signal")
-        pad = np.zeros(n)
-        pad[: len(k)] = k
-        return SensingOperator("circular", n=n, m=n, kernel=pad)
-    if k.ndim == 2:
-        if grid is None:
-            raise ValueError("2-D circular operator needs grid=(h, w)")
-        h, w = grid
-        if k.shape[0] > h or k.shape[1] > w:
-            raise ValueError("kernel larger than the grid")
-        pad = np.zeros((h, w))
-        pad[: k.shape[0], : k.shape[1]] = k
-        return SensingOperator("circular", n=h * w, m=h * w, kernel=pad, grid=(h, w))
-    raise ValueError("kernel must be 1-D or 2-D")
+    if k.ndim != 1:
+        raise ValueError("kernel must be 1-D")
+    if len(k) > n:
+        raise ValueError("kernel longer than the signal")
+    pad = np.zeros(n)
+    pad[: len(k)] = k
+    return SensingOperator("circular", n=n, m=n, kernel=pad)
 
 
 def dft_operator(n: int, omega) -> SensingOperator:
@@ -110,18 +98,10 @@ def apply_operator(op: SensingOperator, u, direction: str = "forward") -> np.nda
         return u @ (A.T if forward else A)
 
     if op.kind == "circular":
-        if op.grid is None:
-            kf = np.fft.fft(op.kernel)
-            uf = np.fft.fft(u, axis=-1)
-            mul = kf if forward else np.conj(kf)
-            return np.fft.ifft(uf * mul, axis=-1).real
-        h, w = op.grid
-        shape = u.shape[:-1] + (h, w)
-        kf = np.fft.fft2(op.kernel)
-        uf = np.fft.fft2(u.reshape(shape))
+        kf = np.fft.fft(op.kernel)
+        uf = np.fft.fft(u, axis=-1)
         mul = kf if forward else np.conj(kf)
-        out = np.fft.ifft2(uf * mul).real
-        return out.reshape(u.shape)
+        return np.fft.ifft(uf * mul, axis=-1).real
 
     # subsampled unitary DFT, real/imaginary stacked channels
     p = len(op.omega)

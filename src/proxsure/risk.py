@@ -142,7 +142,7 @@ class SureReport:
     dof_mc: float | None = None
     mc_std_error: float | None = None
     mc_probes: int | None = None
-    primary_dof: str = "exact"
+    primary_dof: str | None = "exact"  # None when no DOF applies
     sure: float = math.nan
     mse_vs_truth: float | None = None
     psnr: float | None = None
@@ -250,6 +250,5 @@ def evaluate_set(
     d = np.stack([units[0][1] for _, units in rec], axis=1)  # (B, T, l) masks
     ev.surrogate, rho, ev.mu = path_surrogates(stack.weights[0][0][0], d, stack.n)
     ev.rho_max = float((rho.sum(axis=0) / len(Y)).max())
-    ev.epsilon = float(ev.mu * ev.rho_max**1.5)
-    ev.bound = theorem1_bound(ev.epsilon, stack.T)
+    ev.epsilon, ev.bound = theorem1_bound(ev.mu, ev.rho_max, stack.T)
     return ev

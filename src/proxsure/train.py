@@ -19,12 +19,8 @@ from .jacobian import accumulate_jacobian
 from .network import ProximalStack, random_stack, unroll, unroll_forward
 from .operators import SensingOperator, StepParams, identity_operator, step_matrices
 
-# dense grid for full-scale experiments; the default keeps desk runs fast
-FULL_LR_GRID = (
-    0.0075, 0.005, 0.0025, 0.001, 0.00075,
-    0.0005, 0.00025, 0.0001, 0.000075, 0.00005,
-)
 DEFAULT_LR_GRID = (3e-4, 1e-3, 3e-3)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def flatten_weights(stack: ProximalStack) -> list[np.ndarray]:
@@ -119,21 +115,13 @@ class OptimizerState:
     """Adam accumulators shaped like the flat weight list."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: list
+    v: list
     step_count: int = 0
 
     @classmethod
-    def for_weights(cls, weights, lr, **kwargs):
-        return cls(
-            lr=lr,
-            m=[np.zeros_like(w) for w in weights],
-            v=[np.zeros_like(w) for w in weights],
-            **kwargs,
-        )
+    def for_weights(cls, weights, lr):
+        return cls(lr, [np.zeros_like(w) for w in weights], [np.zeros_like(w) for w in weights])
 
 
 def adam_step(state: OptimizerState, weights, grads):
@@ -148,9 +136,9 @@ def adam_step(state: OptimizerState, weights, grads):
             raise NonFiniteError("non-finite gradient passed to Adam")
     t = state.step_count + 1
     new_m, new_v, new_w = [], [], []
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
     for w, g, m, v in zip(weights, grads, state.m, state.v):
         # the textbook expressions, evaluated in the same order into reused
         # buffers: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
@@ -164,7 +152,7 @@ def adam_step(state: OptimizerState, weights, grads):
         v += tmp
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += ADAM_EPS
         upd = m / c1
         upd *= state.lr
         upd /= tmp
@@ -172,15 +160,7 @@ def adam_step(state: OptimizerState, weights, grads):
         new_m.append(m)
         new_v.append(v)
         new_w.append(upd)
-    return new_w, OptimizerState(
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-        m=new_m,
-        v=new_v,
-        step_count=t,
-    )
+    return new_w, OptimizerState(lr=state.lr, m=new_m, v=new_v, step_count=t)
 
 
 @dataclass
@@ -191,9 +171,7 @@ class TrainRunResult:
     train_loss: list[float]
     test_mse: list[float]
     lr: float
-    seed: int
     epochs: int
-    init_std: float
     diverged_lrs: list[float] = field(default_factory=list)
 
 
@@ -238,6 +216,8 @@ def train(
     y_test = np.asarray(y_test, dtype=np.float64)
     if len(x_train) == 0:
         raise ValueError("empty training set")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
     n = x_train.shape[1]
     N = len(x_train)
     matrices = step_matrices(op, step)
@@ -283,8 +263,6 @@ def train(
                     steps_done += 1
                 if failed:
                     break
-                if seen == 0:
-                    break
                 xhat, _ = unroll(y_test, stack, op, *matrices)
                 loss_hist.append(epoch_loss / seen)
                 mse_hist.append(float(np.mean((xhat - x_test) ** 2)))
@@ -302,9 +280,7 @@ def train(
                     train_loss=loss_hist,
                     test_mse=mse_hist,
                     lr=lr,
-                    seed=seed,
                     epochs=len(loss_hist),
-                    init_std=1.0 / np.sqrt(n),
                 ),
             )
     if best is None:
@@ -348,12 +324,13 @@ def pca_closed_form(dataset: Dataset, sigma2: float):
 
 # --- fixed-point mask analysis ------------------------------------------
 
+FIXED_POINT_TAIL = 10  # iterations whose active sets make up the support
+
 
 @dataclass
 class FixedPointResult:
     x: np.ndarray
     support: np.ndarray  # active row indices (tail-window union)
-    mask: np.ndarray  # boolean indicator of support
     dof: int  # n - |support|
     converged: bool
     iterations: int
@@ -366,11 +343,10 @@ def mask_fixed_point(
     y,
     tol: float = 1e-9,
     max_iter: int = 10000,
-    tail: int = 10,
 ) -> FixedPointResult:
     """Iterate x <- (I - W^H D(x) W) x until the state stops moving.
 
-    The support is the union of active indices over the last `tail`
+    The support is the union of active indices over the last FIXED_POINT_TAIL
     iterations: exact fixed points drive active pre-activations to zero
     from above, where the instantaneous 1{>0} mask flickers off.
     """
@@ -388,7 +364,7 @@ def mask_fixed_point(
         x_new = x - W.T @ (D * z)
         tail_masks.append(D)
         tail_z.append(np.abs(z))
-        if len(tail_masks) > tail:
+        if len(tail_masks) > FIXED_POINT_TAIL:
             tail_masks.pop(0)
             tail_z.pop(0)
         delta = float(np.linalg.norm(x_new - x))
@@ -412,7 +388,6 @@ def mask_fixed_point(
     return FixedPointResult(
         x=x,
         support=support,
-        mask=mask,
         dof=len(x) - len(support),
         converged=converged,
         iterations=iterations,

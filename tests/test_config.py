@@ -101,3 +101,26 @@ def test_dof_estimator_accepts_only_the_estimators_that_act():
     with pytest.raises(ConfigError) as err:
         parse_config('dof.estimator = "fd"\n')
     assert "dof.estimator" in str(err.value)
+
+
+def test_max_steps_is_unlimited_or_positive():
+    assert parse_config("optimizer.max_steps = 1\n").opt_max_steps == 1
+    assert parse_config("optimizer.max_steps = -1\n").opt_max_steps == -1
+    # 0 steps trains nothing, which train() would report as divergence
+    with pytest.raises(ConfigError) as err:
+        parse_config("optimizer.max_steps = 0\n")
+    assert "optimizer.max_steps" in str(err.value)
+
+
+@pytest.mark.parametrize("kernel", ["[[0.5, 0.5], [0, 0]]", '["a", 1]', "[true, 0.5]", "0.5"])
+def test_kernel_must_be_a_flat_list_of_numbers(kernel):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f'operator.kind = "circular"\noperator.kernel = {kernel}\n')
+    assert "operator.kernel" in str(err.value)
+
+
+def test_kernel_longer_than_the_signal_is_config_error():
+    assert parse_config("n = 3\ndata.rank = 1\noperator.kind = circular\noperator.kernel = [1, 2, 3]\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config("n = 3\ndata.rank = 1\noperator.kind = circular\noperator.kernel = [1, 2, 3, 4]\n")
+    assert "operator.kernel" in str(err.value)

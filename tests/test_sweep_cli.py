@@ -375,6 +375,8 @@ def test_cli_train_then_evaluate_with_m_not_n(tmp_path, capsys):
     per_input = [json.loads(line) for line in lines[1:]]
     assert len(per_input) == 8
     assert all(r["sure"] is None and r["dof_exact"] is None for r in per_input)
+    # n is the signal length (m = 4 here), and no DOF means no primary DOF
+    assert all(r["n"] == 8 and r["primary_dof"] is None for r in per_input)
 
 
 def test_cli_evaluate_reports_sure_only_for_identity(tmp_path, tiny_cfg, capsys):
@@ -483,6 +485,7 @@ def test_cli_evaluate_honours_the_mc_estimator(tmp_path, capsys):
         (estimate, se, 16) for estimate, se in want
     ]
     assert summary["dof_mc_mean"] == float(np.mean([estimate for estimate, _ in want]))
+    assert all(r["n"] == 8 and r["primary_dof"] == "exact" for r in per_input)
 
     (tmp_path / "exact.txt").write_text(TINY_CONFIG)
     assert cli.main(["evaluate", weights, "--config", str(tmp_path / "exact.txt")]) == 0
@@ -502,3 +505,51 @@ def test_run_cell_mc_estimator_skips_a_non_square_jacobian():
     row = sweep.run_cell(cfg, "ws", 0.2, 8, 0)
     assert row["status"] == "ok" and math.isnan(row["dof_mc_mean"])
     assert math.isnan(row["dof_exact_mean"])
+
+
+def test_cli_jacobian_report_prints_the_report_of_the_input(tmp_path, tiny_cfg, capsys):
+    import numpy as np
+
+    from proxsure.config import build_operator, build_step
+    from proxsure.jacobian import jacobian_report
+    from proxsure.network import load_stack, unroll_forward
+
+    assert cli.main(["train", "--config", str(tiny_cfg), "--out", str(tmp_path / "run")]) == 0
+    weights = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["weights"]
+    y = [0.3, -0.2, 0.5, 0.1, 0.0, -0.4, 0.2, 0.7]
+    assert cli.main(["jacobian-report", weights, json.dumps(y), "--config", str(tiny_cfg)]) == 0
+    out = capsys.readouterr().out
+
+    cfg = parse_config(TINY_CONFIG)
+    stack, op, step = load_stack(weights), build_operator(cfg), build_step(cfg)
+    _, masks = unroll_forward(np.array(y), stack, op, step, record=True)
+    assert out == jacobian_report(masks, stack, op, step, max_T=cfg.path_cap).to_json() + "\n"
+
+
+def test_cli_jacobian_report_on_wc_net_is_runtime_error(tmp_path, capsys):
+    cfg = tmp_path / "wc.txt"
+    cfg.write_text(TINY_CONFIG.replace('model.mode = ["ws"]', 'model.mode = ["wc"]'))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    weights = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["weights"]
+    assert cli.main(["jacobian-report", weights, json.dumps([0.1] * 8), "--config", str(cfg)]) == 3
+    assert "runtime error" in capsys.readouterr().err
+
+
+def test_cli_verify_out_writes_the_printed_report(tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert cli.main(["verify", "theorem1", "--trials", "5", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert (out / "verify_theorem1.json").read_text() + "\n" == printed
+
+
+@pytest.mark.parametrize("line,key", [
+    ("optimizer.max_steps = 0", "optimizer.max_steps"),
+    ('operator.kind = "circular"\noperator.kernel = [[0.5, 0.5], [0, 0]]', "operator.kernel"),
+    ('operator.kind = "circular"\noperator.kernel = ["a", 1]', "operator.kernel"),
+], ids=["max-steps-0", "nested-kernel", "string-kernel"])
+def test_cli_config_values_that_failed_at_run_time_are_config_errors(tmp_path, capsys, line, key):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(TINY_CONFIG + line + "\n")
+    assert cli.main(["sweep", "--config", str(bad), "--out", str(tmp_path / "s")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()

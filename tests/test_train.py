@@ -502,3 +502,28 @@ def test_train_reports_a_diverging_lr_without_runtime_warnings():
                        epochs=3, batch=4, seed=16)
     assert result.diverged_lrs == [1e150]
     assert result.lr == 1e-3
+
+
+def test_train_rejects_a_step_cap_below_one():
+    x, y = _toy_problem(N=8, n=6)
+    with pytest.raises(ValueError, match="max_steps"):
+        train(x, y, x, y, identity_operator(6), STEP0, hidden=[4], T=2, max_steps=0)
+
+
+def test_anneal_scales_the_learning_rate_from_its_epoch():
+    x, y = _toy_problem(N=16, n=6)
+    kwargs = dict(hidden=[4], T=2, epochs=3, batch=4, seed=5)
+
+    def run(lr_grid, **extra):
+        return train(x, y, x, y, identity_operator(6), STEP0, lr_grid=lr_grid, **kwargs, **extra)
+
+    def weights(result):
+        return [w.tobytes() for w in flatten_weights(result.stack)]
+
+    # annealed from epoch 0, the run is the run at lr * 0.1, reported under lr
+    annealed = run([3e-3], anneal_at=0)
+    assert annealed.lr == 3e-3
+    assert weights(annealed) == weights(run([3e-3 * 0.1]))
+    # an anneal epoch past the last epoch never fires
+    assert weights(run([3e-3], anneal_at=3)) == weights(run([3e-3]))
+    assert weights(run([3e-3], anneal_at=1)) != weights(run([3e-3]))
