@@ -17,7 +17,6 @@ from .jacobian import (
     PathTable,
     PathTerm,
     accumulate_jacobian,
-    dof_surrogate,
     incoherence,
     jacobian_report,
     jacobian_trace_exact,
@@ -47,7 +46,6 @@ from .operators import (
 )
 from .risk import (
     SureReport,
-    dof_exact,
     dof_finite_difference,
     dof_monte_carlo,
     mse_psnr,

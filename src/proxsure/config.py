@@ -57,11 +57,15 @@ class ExperimentConfig:
         return list(self.model_mode)
 
 
+def _number(x, kinds=(int, float)) -> bool:
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 _SCHEMA = {
     "operator.kind": ("operator_kind", str, lambda v: v in ("identity", "dense", "circular", "dft"), "one of identity/dense/circular/dft"),
-    "operator.kernel": ("operator_kernel", list, lambda v: all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v), "a flat list of numbers"),
-    "operator.omega": ("operator_omega", list, None, None),
-    "operator.matrix": ("operator_matrix", list, None, None),
+    "operator.kernel": ("operator_kernel", list, lambda v: all(map(_number, v)), "a flat list of numbers"),
+    "operator.omega": ("operator_omega", list, lambda v: all(_number(x, int) for x in v), "a flat list of integers"),
+    "operator.matrix": ("operator_matrix", list, lambda v: all(isinstance(r, list) and r and len(r) == len(v[0]) and all(map(_number, r)) for r in v), "equal-length non-empty rows of numbers"),
     "sigma": ("sigma", list, lambda v: len(v) > 0 and all(isinstance(s, (int, float)) and s > 0 for s in v), "positive number(s)"),
     "sigma_pixel": ("sigma_pixel", list, lambda v: all(isinstance(s, (int, float)) and s > 0 for s in v), "positive number(s)"),
     "n": ("n", int, lambda v: v >= 1, ">= 1"),
@@ -151,6 +155,8 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("operator.omega", "dft operator needs a frequency set")
     if cfg.operator_kind == "dense" and not cfg.operator_matrix:
         raise ConfigError("operator.matrix", "dense operator needs a matrix")
+    if cfg.operator_kind == "dense" and len(cfg.operator_matrix[0]) != cfg.n:
+        raise ConfigError("operator.matrix", f"matrix needs n = {cfg.n} columns")
 
 
 _ATTR_TO_KEY = {attr: key for key, (attr, *_rest) in _SCHEMA.items()}

@@ -33,10 +33,6 @@ class NonFiniteError(ProxsureError):
 class TrainingFailureError(ProxsureError):
     """Every learning rate in the grid diverged."""
 
-    def __init__(self, histories):
-        super().__init__("training diverged for every learning rate in the grid")
-        self.histories = histories
-
 
 class DatasetFormatError(ProxsureError):
     """Base class for dataset container errors."""

@@ -279,7 +279,7 @@ def path_surrogates(W, masks, n: int):
     """The alternating path-sparsity sums n + sum_I (-1)^|I| p_I of B
     inputs, from the sparsity half of `path_table` alone (no l x l
     product). Each sum runs over the subsets in combinations order from
-    left to right, as `dof_surrogate` sums a term list, and the p_I are
+    left to right, as `jacobian_report` sums a term list, and the p_I are
     held for as many inputs at once as fit in the budget. Returns
     (surrogates (B,), sparsities (B, T), mu).
     """
@@ -338,30 +338,6 @@ def theorem1_bound(mu: float, rho_max: float, T: int) -> tuple[float, float]:
     return eps, float((1.0 + eps) ** T - 1.0 - eps * T)
 
 
-def dof_surrogate(terms: list[PathTerm], n: int, mu: float, rho=None):
-    """Alternating path-sparsity sum with its coherence error bound.
-
-    Returns (surrogate, epsilon, bound, valid) where epsilon =
-    mu * (max_t rho_t)^(3/2) and bound = (1 + eps)^T - 1 - eps*T;
-    valid is True when eps < 1 (the regime the bound is proved for).
-    """
-    if not terms:
-        raise ValueError("empty path list")
-    T = max(t.index_set[-1] for t in terms)
-    if rho is None:
-        per_iter: dict[int, float] = {}
-        for term in terms:
-            for idx, s in zip(term.index_set, term.sparsities):
-                per_iter[idx] = s
-        rho = [per_iter[i] for i in sorted(per_iter)]
-    rho_max = float(np.max(rho)) if len(rho) else 0.0
-    surrogate = float(n) + sum(
-        (-1.0) ** len(t.index_set) * t.path_sparsity for t in terms
-    )
-    eps, bound = theorem1_bound(mu, rho_max, T)
-    return surrogate, eps, bound, eps < 1.0
-
-
 @dataclass
 class JacobianReport:
     """Exact trace, expansion terms, and the surrogate with its bound."""
@@ -408,11 +384,14 @@ def jacobian_report(
     step: StepParams,
     max_T: int = DEFAULT_PATH_CAP,
 ) -> JacobianReport:
-    """Full single-input analysis: exact Jacobian plus the path expansion."""
+    """Full single-input analysis: the exact Jacobian, the path expansion,
+    and its surrogate n + sum_I (-1)^|I| p_I summed over the terms in
+    order, with Theorem 1's eps and bound."""
     J = accumulate_jacobian(masks, stack, op, step)
     terms = path_expansion(masks, stack, max_T=max_T)
     rho = [t.sparsities[0] for t in terms[: stack.T]]  # the singletons (1,) .. (T,)
-    surrogate, eps, bound, _ = dof_surrogate(terms, stack.n, terms.mu, rho)
+    surrogate = float(stack.n) + sum((-1.0) ** len(t.index_set) * t.path_sparsity for t in terms)
+    eps, bound = theorem1_bound(terms.mu, max(rho), stack.T)
     return JacobianReport(
         n=stack.n,
         T=stack.T,

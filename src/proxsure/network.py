@@ -84,11 +84,10 @@ def random_stack(
     mode: str = "ws",
     symmetric: bool = True,
     seed: int = 0,
-    scale: float | None = None,
 ) -> ProximalStack:
-    """Gaussian-initialized stack; default std 1/sqrt(n) keeps stages near identity."""
+    """Gaussian-initialized stack; std 1/sqrt(n) keeps stages near identity."""
     rng = np.random.default_rng(seed)
-    std = (1.0 / np.sqrt(n)) if scale is None else scale
+    std = 1.0 / np.sqrt(n)
     reps = 1 if mode == "ws" else T
     its = []
     for _ in range(reps):

@@ -30,9 +30,6 @@ def rss(y, xhat) -> float:
     return float(np.sum((xhat - y) ** 2))
 
 
-dof_exact = jacobian_trace_exact
-
-
 def _output(h, y):
     """h(y), shaped like y: a divergence needs a square Jacobian."""
     out = np.asarray(h(y))
@@ -41,21 +38,15 @@ def _output(h, y):
     return out
 
 
-def default_fd_delta(y) -> float:
-    return 1e-6 * (1.0 + float(np.max(np.abs(y))))
-
-
-def dof_finite_difference(h, y, delta: float | None = None) -> float:
-    """Coordinate divergence sum_i [h(y + d e_i)_i - h(y)_i] / d.
+def dof_finite_difference(h, y) -> float:
+    """Coordinate divergence sum_i [h(y + d e_i)_i - h(y)_i] / d with
+    the step d = 1e-6 * (1 + max|y|).
 
     Exact for linear maps; n + 1 forward passes, batched.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[-1]
-    if delta is None:
-        delta = default_fd_delta(y)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = 1e-6 * (1.0 + float(np.max(np.abs(y))))
     base = _output(h, y)
     shifted = h(y[None, :] + delta * np.eye(n))
     diag = np.diagonal(shifted) - base
@@ -66,7 +57,7 @@ def dof_finite_difference(h, y, delta: float | None = None) -> float:
 
 
 def default_mc_delta(y) -> float:
-    # larger than the fd default so probes stay within one linear region
+    # larger than the fd step so probes stay within one linear region
     # with high probability relative to their norm
     return 1e-4 * (1.0 + float(np.max(np.abs(y))))
 
@@ -76,30 +67,25 @@ def dof_monte_carlo(
     y,
     K: int,
     delta: float | None = None,
-    probe_dist: str = "rademacher",
     seed: int | list[int] = 0,
 ):
     """Probe estimator (1/K) sum_k e_k^T [h(y + d e_k) - h(y)] / d.
 
-    The probes are the rows of one (K, n) draw from default_rng(seed)
-    (an int or a sequence of ints). The draw is prefix-stable: probe k
-    is the same for every K > k. Returns (estimate, standard error).
+    The probes e_k are Rademacher (+-1): the rows of one (K, n) draw from
+    default_rng(seed) (an int or a sequence of ints). The draw is
+    prefix-stable: probe k is the same for every K > k. Returns
+    (estimate, standard error).
     """
     if K < 1:
         raise ValueError("need at least one probe")
-    if probe_dist not in ("rademacher", "gaussian"):
-        raise ValueError(f"unknown probe distribution {probe_dist!r}")
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[-1]
     base = _output(h, y)
     if delta is None:
         delta = default_mc_delta(y)
     rng = np.random.default_rng(seed)
-    if probe_dist == "rademacher":
-        probes = rng.integers(0, 2, size=(K, n)) * 2.0
-        probes -= 1.0
-    else:
-        probes = rng.standard_normal((K, n))
+    probes = rng.integers(0, 2, size=(K, n)) * 2.0
+    probes -= 1.0
     shifted = delta * probes
     shifted += y
     diffs = np.subtract(h(shifted), base)  # a fresh array: h may return shifted
@@ -181,7 +167,7 @@ def sure_report(
     report = SureReport(n=n, sigma=sigma, rss=rss(y, xhat))
     report.output_norm = float(np.linalg.norm(xhat))
     if J is not None:
-        report.dof_exact = dof = dof_exact(J)
+        report.dof_exact = dof = jacobian_trace_exact(J)
     else:
         report.dof_fd = dof = dof_finite_difference(h, y)
         report.primary_dof = "fd"

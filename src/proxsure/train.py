@@ -224,7 +224,6 @@ def train(
 
     best = None
     diverged = []
-    histories = {}
     for li, lr in enumerate(lr_grid):
         init_rng = np.random.default_rng([seed, li, 2])
         order_rng = np.random.default_rng([seed, li, 3])
@@ -270,7 +269,6 @@ def train(
                     break
         if failed or not mse_hist or not np.isfinite(mse_hist[-1]):
             diverged.append(lr)
-            histories[lr] = loss_hist
             continue
         if best is None or mse_hist[-1] < best[0]:
             best = (
@@ -284,7 +282,7 @@ def train(
                 ),
             )
     if best is None:
-        raise TrainingFailureError(histories)
+        raise TrainingFailureError("training diverged for every learning rate in the grid")
     result = best[1]
     result.diverged_lrs = diverged
     return result

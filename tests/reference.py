@@ -5,13 +5,14 @@ operator application at a time (`apply_step`), which `step_matrices`
 must match; one residual unit with its input checks; the replay of a
 recorded forward pass from its masks through the frozen-mask stages;
 the RSS identity of a linear map; the B matrix and the per-term
-deviation check of the path expansion; and one input drawn away from
-the ReLU boundary."""
+deviation check of the path expansion; the alternating path-sparsity
+sum over a term list (`dof_surrogate`), the oracle for the batched
+`path_surrogates`; and one input drawn away from the ReLU boundary."""
 
 import numpy as np
 
 from proxsure.errors import DimensionMismatchError, SingularSystemError
-from proxsure.jacobian import PathTerm
+from proxsure.jacobian import PathTerm, theorem1_bound
 from proxsure.network import ProximalStack, _unit, frozen_mask_pass
 from proxsure.operators import (
     SensingOperator,
@@ -141,6 +142,30 @@ def path_deviation(term: PathTerm, slack: float = 1e-12):
     """(deviation, bound, satisfied) for one path term."""
     dev = abs(term.trace_exact - term.path_sparsity)
     return dev, term.deviation_bound, dev <= term.deviation_bound + slack
+
+
+def dof_surrogate(terms: list[PathTerm], n: int, mu: float, rho=None):
+    """Alternating path-sparsity sum with its coherence error bound.
+
+    Returns (surrogate, epsilon, bound, valid) where epsilon =
+    mu * (max_t rho_t)^(3/2) and bound = (1 + eps)^T - 1 - eps*T;
+    valid is True when eps < 1 (the regime the bound is proved for).
+    """
+    if not terms:
+        raise ValueError("empty path list")
+    T = max(t.index_set[-1] for t in terms)
+    if rho is None:
+        per_iter: dict[int, float] = {}
+        for term in terms:
+            for idx, s in zip(term.index_set, term.sparsities):
+                per_iter[idx] = s
+        rho = [per_iter[i] for i in sorted(per_iter)]
+    rho_max = float(np.max(rho)) if len(rho) else 0.0
+    surrogate = float(n) + sum(
+        (-1.0) ** len(t.index_set) * t.path_sparsity for t in terms
+    )
+    eps, bound = theorem1_bound(mu, rho_max, T)
+    return surrogate, eps, bound, eps < 1.0
 
 
 def _sample_regular_input(stack, op, step, rng, margin=1e-4, attempts=50):

@@ -124,3 +124,28 @@ def test_kernel_longer_than_the_signal_is_config_error():
     with pytest.raises(ConfigError) as err:
         parse_config("n = 3\ndata.rank = 1\noperator.kind = circular\noperator.kernel = [1, 2, 3, 4]\n")
     assert "operator.kernel" in str(err.value)
+
+
+@pytest.mark.parametrize("omega", ['["a"]', "[true]", "[[1, 2]]", "[1.5]"])
+def test_omega_must_be_a_flat_list_of_integers(omega):
+    assert parse_config('operator.kind = "dft"\noperator.omega = [1, -2]\n').operator_omega == [1, -2]
+    with pytest.raises(ConfigError) as err:
+        parse_config(f'operator.kind = "dft"\noperator.omega = {omega}\n')
+    assert "operator.omega" in str(err.value)
+
+
+@pytest.mark.parametrize("matrix", [
+    "[[1, 2], [3]]", "[[]]", '[[1, "a"]]', "[[true, 0]]", "[1, 2]", "[[[1], [2]]]",
+], ids=["ragged", "empty-row", "string", "bool", "flat", "nested"])
+def test_matrix_must_be_equal_length_rows_of_numbers(matrix):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f'n = 2\ndata.rank = 1\noperator.kind = "dense"\noperator.matrix = {matrix}\n')
+    assert "operator.matrix" in str(err.value)
+
+
+def test_matrix_needs_n_columns():
+    cfg = parse_config('n = 2\ndata.rank = 1\noperator.kind = "dense"\noperator.matrix = [[1, 0.5]]\n')
+    assert cfg.operator_matrix == [[1, 0.5]]
+    with pytest.raises(ConfigError) as err:
+        parse_config('n = 8\noperator.kind = "dense"\noperator.matrix = [[1, 0], [0, 1]]\n')
+    assert "operator.matrix" in str(err.value) and "n = 8" in str(err.value)

@@ -132,6 +132,26 @@ def test_dataset_corruption_errors(tmp_path):
         load_dataset(corrupt)
 
 
+
+def test_dataset_unknown_kind_and_trailing_bytes_are_header_errors(tmp_path):
+    import struct
+    import zlib
+
+    from proxsure.data import MAGIC
+
+    ds = generate_subspace_data(4, 2, 3, seed=0)
+    path = tmp_path / "ds.bin"
+    save_dataset(ds, path)
+    body = path.read_bytes()[:-4]
+    code_at = len(MAGIC) + 8  # after the u32 n and N words
+    for bad_body, message in [
+        (body[:code_at] + bytes([7]) + body[code_at + 1:], "unknown dataset kind code 7"),
+        (body + b"\x00" * 8, "trailing bytes"),
+    ]:
+        path.write_bytes(bad_body + struct.pack("<I", zlib.crc32(bad_body)))
+        with pytest.raises(DatasetHeaderError, match=message):
+            load_dataset(path)
+
 @pytest.mark.parametrize("kind", ["subspace", "sparse"])
 def test_dataset_cut_anywhere_is_a_format_error(tmp_path, kind):
     """Every prefix of a container, raw or with a CRC32 recomputed over

@@ -14,7 +14,6 @@ from proxsure.errors import (
 from proxsure.jacobian import (
     PathTerm,
     accumulate_jacobian,
-    dof_surrogate,
     incoherence,
     jacobian_report,
     jacobian_trace_exact,
@@ -26,7 +25,7 @@ from proxsure.network import ProximalStack, random_stack, unroll_forward
 from proxsure.operators import StepParams, identity_operator
 from proxsure.risk import dof_finite_difference
 from proxsure.network import forward_map
-from reference import norm_matrix_b, path_deviation
+from reference import dof_surrogate, norm_matrix_b, path_deviation
 
 STEP0 = StepParams("gradient", 0.0)
 

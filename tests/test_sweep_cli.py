@@ -546,7 +546,12 @@ def test_cli_verify_out_writes_the_printed_report(tmp_path, capsys):
     ("optimizer.max_steps = 0", "optimizer.max_steps"),
     ('operator.kind = "circular"\noperator.kernel = [[0.5, 0.5], [0, 0]]', "operator.kernel"),
     ('operator.kind = "circular"\noperator.kernel = ["a", 1]', "operator.kernel"),
-], ids=["max-steps-0", "nested-kernel", "string-kernel"])
+    ('operator.kind = "dft"\noperator.omega = ["a"]', "operator.omega"),
+    ('operator.kind = "dft"\noperator.omega = [true]', "operator.omega"),
+    ('operator.kind = "dense"\noperator.matrix = [[1, 2], [3]]', "operator.matrix"),
+    ('operator.kind = "dense"\noperator.matrix = [[1, 0], [0, 1]]', "operator.matrix"),
+], ids=["max-steps-0", "nested-kernel", "string-kernel", "string-omega", "bool-omega",
+        "ragged-matrix", "matrix-of-2-columns"])
 def test_cli_config_values_that_failed_at_run_time_are_config_errors(tmp_path, capsys, line, key):
     bad = tmp_path / "bad.txt"
     bad.write_text(TINY_CONFIG + line + "\n")

@@ -3,9 +3,10 @@ import pytest
 
 from proxsure.data import Dataset, generate_subspace_data, add_noise
 from proxsure.errors import NonFiniteError, TrainingFailureError
-from proxsure.network import random_stack
+from proxsure.network import ProximalStack, random_stack
 from proxsure.operators import StepParams, identity_operator, circular_operator
 from proxsure.train import (
+    FIXED_POINT_TAIL,
     OptimizerState,
     adam_step,
     fixed_point_jacobian,
@@ -70,7 +71,8 @@ def test_loss_zero_at_fit():
 
 def test_loss_identity_network():
     n = 4
-    stack = random_stack(n, [3], T=2, seed=3, scale=0.0)
+    W = np.zeros((3, n))
+    stack = ProximalStack(n=n, T=2, mode="ws", symmetric=True, weights=(((W, None),),))
     op = identity_operator(n)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, n))
@@ -241,6 +243,26 @@ def test_mask_fixed_point_never_active():
     assert np.array_equal(result.x, y)
     assert result.dof == 2
 
+
+def test_mask_fixed_point_support_and_margin_come_from_the_tail_window():
+    # non-orthonormal rows couple the units: 86 iterations, during which
+    # rows 1 and 3 turn on and off again before the last 10
+    rng = np.random.default_rng(1)
+    W = rng.standard_normal((4, 6)) / np.sqrt(6)
+    y = rng.standard_normal(6)
+    result = mask_fixed_point(W, y)
+    assert result.converged and result.iterations > FIXED_POINT_TAIL
+    x, zs = y.copy(), []
+    for _ in range(result.iterations):
+        z = W @ x
+        zs.append(z)
+        x = x - W.T @ ((z > 0.0) * z)
+    tail = zs[-FIXED_POINT_TAIL:]
+    union = np.any([z > 0.0 for z in tail], axis=0)
+    assert result.support.tolist() == np.flatnonzero(union).tolist() == [2]
+    assert np.any([z > 0.0 for z in zs], axis=0).sum() == 3  # the whole run's union is wider
+    assert result.tail_margin == min(np.abs(z)[~union].min() for z in tail)
+    assert result.tail_margin < np.abs(zs[-1])[~union].min()
 
 def test_fixed_point_jacobian_orthonormal_rows():
     rng = np.random.default_rng(8)
