@@ -66,27 +66,27 @@ _SCHEMA = {
     "operator.kernel": ("operator_kernel", list, lambda v: all(map(_number, v)), "a flat list of numbers"),
     "operator.omega": ("operator_omega", list, lambda v: all(_number(x, int) for x in v), "a flat list of integers"),
     "operator.matrix": ("operator_matrix", list, lambda v: all(isinstance(r, list) and r and len(r) == len(v[0]) and all(map(_number, r)) for r in v), "equal-length non-empty rows of numbers"),
-    "sigma": ("sigma", list, lambda v: len(v) > 0 and all(isinstance(s, (int, float)) and s > 0 for s in v), "positive number(s)"),
-    "sigma_pixel": ("sigma_pixel", list, lambda v: all(isinstance(s, (int, float)) and s > 0 for s in v), "positive number(s)"),
+    "sigma": ("sigma", list, lambda v: len(v) > 0 and all(_number(s) and s > 0 for s in v), "positive number(s)"),
+    "sigma_pixel": ("sigma_pixel", list, lambda v: all(_number(s) and s > 0 for s in v), "positive number(s)"),
     "n": ("n", int, lambda v: v >= 1, ">= 1"),
     "data.kind": ("data_kind", str, lambda v: v in ("subspace", "sparse"), "subspace or sparse"),
     "data.rank": ("data_rank", int, lambda v: v >= 1, ">= 1"),
     "data.dict_size": ("data_dict_size", int, lambda v: v >= 1, ">= 1"),
     "data.sparsity": ("data_sparsity", int, lambda v: v >= 1, ">= 1"),
-    "n_train_grid": ("n_train_grid", list, lambda v: len(v) > 0 and all(isinstance(x, int) and x >= 1 for x in v) and all(a < b for a, b in zip(v, v[1:])), "strictly increasing positive integers"),
+    "n_train_grid": ("n_train_grid", list, lambda v: len(v) > 0 and all(_number(x, int) and x >= 1 for x in v) and all(a < b for a, b in zip(v, v[1:])), "strictly increasing positive integers"),
     "n_test": ("n_test", int, lambda v: v >= 1, ">= 1"),
-    "model.hidden": ("model_hidden", list, lambda v: len(v) > 0 and all(isinstance(x, int) and x >= 1 for x in v), "positive layer widths"),
+    "model.hidden": ("model_hidden", list, lambda v: len(v) > 0 and all(_number(x, int) and x >= 1 for x in v), "positive layer widths"),
     "model.iterations": ("model_iterations", int, lambda v: v >= 1, ">= 1"),
     "model.mode": ("model_mode", list, lambda v: len(v) > 0 and all(m in ("ws", "wc") for m in v), "subset of ws/wc"),
     "model.symmetric": ("model_symmetric", bool, None, None),
     "step.kind": ("step_kind", str, lambda v: v in ("gradient", "ls", "deblur"), "one of gradient/ls/deblur"),
-    "step.alpha": ("step_alpha", (int, float), None, None),
-    "optimizer.lr_grid": ("opt_lr_grid", list, lambda v: len(v) > 0 and all(isinstance(x, (int, float)) and x > 0 for x in v), "positive learning rates"),
+    "step.alpha": ("step_alpha", (int, float), _number, "a number"),
+    "optimizer.lr_grid": ("opt_lr_grid", list, lambda v: len(v) > 0 and all(_number(x) and x > 0 for x in v), "positive learning rates"),
     "optimizer.epochs": ("opt_epochs", int, lambda v: v >= 1, ">= 1"),
     "optimizer.batch": ("opt_batch", int, lambda v: v >= 1, ">= 1"),
     "optimizer.anneal_at": ("opt_anneal_at", int, None, None),
     "optimizer.max_steps": ("opt_max_steps", int, lambda v: v == -1 or v >= 1, "-1 (unlimited) or >= 1"),
-    "seeds": ("seeds", list, lambda v: len(v) > 0 and all(isinstance(x, int) and x >= 0 for x in v), "non-negative integer seeds"),
+    "seeds": ("seeds", list, lambda v: len(v) > 0 and all(_number(x, int) and x >= 0 for x in v), "non-negative integer seeds"),
     "dof.estimator": ("dof_estimator", str, lambda v: v in ("exact", "mc"), "exact or mc"),
     # input i's probes are one draw from default_rng([seed, i]), distinct
     # at any count; the cap bounds each input's (probes, n) forward batch

@@ -15,7 +15,7 @@ recorded masks frozen: on y it replays x^T, on Phi^H the Jacobian.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,15 @@ from .operators import SensingOperator, StepParams, apply_operator, step_matrice
 MAGIC = b"SUNW1"
 
 
+def flatten_weights(stack: ProximalStack) -> list[np.ndarray]:
+    """The weight layout: iteration-major, layer-major, W then Wbar.
+
+    `ProximalStack.flat` and the SUNW1 payload hold these arrays in this
+    order, each row-major.
+    """
+    return [w for layers in stack.weights for pair in layers for w in pair if w is not None]
+
+
 @dataclass(frozen=True)
 class ProximalStack:
     """Trainable weights of the unrolled network.
@@ -32,6 +41,10 @@ class ProximalStack:
     weights[i][k] is the pair (W, Wbar) for effective iteration i and
     layer k; Wbar is None when the stack is symmetric. Weight-sharing
     stacks store one iteration entry reused for all T outer iterations.
+
+    The stack copies the weights it is given into one contiguous float64
+    vector, `flat`, in flatten_weights order, and its `weights` are views
+    into it: writing `flat` updates every weight in place.
     """
 
     n: int
@@ -39,6 +52,7 @@ class ProximalStack:
     mode: str  # "ws" | "wc"
     symmetric: bool
     weights: tuple  # tuple[tuple[(W, Wbar | None), ...], ...]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n <= 0:
@@ -64,6 +78,15 @@ class ProximalStack:
                         raise ValueError("symmetric stacks derive Wbar from W")
                 elif Wbar is None or Wbar.shape != W.shape:
                     raise ValueError("Wbar must match the shape of W")
+        arrays = flatten_weights(self)
+        flat = np.concatenate([w.ravel() for w in arrays], dtype=np.float64)
+        views = iter(np.split(flat, np.cumsum([w.size for w in arrays])[:-1]))
+        weights = tuple(
+            tuple(tuple(w if w is None else next(views).reshape(w.shape) for w in pair) for pair in layers)
+            for layers in self.weights
+        )
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def K(self) -> int:
@@ -206,23 +229,14 @@ def save_stack(stack: ProximalStack, path) -> None:
     """Write the SUNW1 weight container.
 
     Layout: magic "SUNW1"; little-endian u32 mode (0 ws / 1 wc), u32
-    symmetric flag, u32 T, u32 K; per layer u32 l_k, u32 n_k; then
-    row-major float64 payloads in iteration-major, layer-major order
-    (W, then Wbar when present).
+    symmetric flag, u32 T, u32 K; per layer u32 l_k, u32 n_k; then the
+    payload `stack.flat` as little-endian float64.
     """
-    header = [MAGIC]
-    header.append(struct.pack("<4I", 0 if stack.mode == "ws" else 1,
-                              1 if stack.symmetric else 0, stack.T, stack.K))
-    for W, _ in stack.weights[0]:
-        header.append(struct.pack("<2I", W.shape[0], W.shape[1]))
-    payload = []
-    for layers in stack.weights:
-        for W, Wbar in layers:
-            payload.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
-            if Wbar is not None:
-                payload.append(np.ascontiguousarray(Wbar, dtype="<f8").tobytes())
+    header = [MAGIC, struct.pack("<4I", 0 if stack.mode == "ws" else 1,
+                                 1 if stack.symmetric else 0, stack.T, stack.K)]
+    header += [struct.pack("<2I", l_k, stack.n) for l_k in stack.widths()]
     with open(path, "wb") as f:
-        f.write(b"".join(header) + b"".join(payload))
+        f.write(b"".join(header) + stack.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_stack(path) -> ProximalStack:
@@ -239,13 +253,10 @@ def load_stack(path) -> ProximalStack:
         raise DatasetHeaderError(f"weight container symmetric flag must be 0 or 1, got {sym_u}")
     if T < 1 or K < 1:
         raise DatasetHeaderError(f"weight container needs T >= 1 and K >= 1, got T={T}, K={K}")
-    shapes = []
-    for _ in range(K):
-        if off + 8 > len(blob):
-            raise DatasetTruncatedError("weight container header truncated")
-        l_k, n_k = struct.unpack_from("<2I", blob, off)
-        off += 8
-        shapes.append((l_k, n_k))
+    if off + 8 * K > len(blob):
+        raise DatasetTruncatedError("weight container header truncated")
+    shapes = [struct.unpack_from("<2I", blob, off + 8 * k) for k in range(K)]
+    off += 8 * K
     n = shapes[0][1]
     if n < 1 or any(n_k != n for _, n_k in shapes):
         raise DatasetHeaderError(
@@ -254,24 +265,14 @@ def load_stack(path) -> ProximalStack:
     mode = "ws" if mode_u == 0 else "wc"
     symmetric = bool(sym_u)
     reps = 1 if mode == "ws" else T
-    its = []
-    for _ in range(reps):
-        layers = []
-        for l_k, n_k in shapes:
-            count = l_k * n_k
-            mats = []
-            for _ in range(1 if symmetric else 2):
-                end = off + 8 * count
-                if end > len(blob):
-                    raise DatasetTruncatedError("weight payload truncated")
-                mats.append(
-                    np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-                    .reshape(l_k, n_k)
-                    .copy()
-                )
-                off = end
-            layers.append((mats[0], mats[1] if not symmetric else None))
-        its.append(tuple(layers))
-    if off != len(blob):
+    size = reps * (1 if symmetric else 2) * sum(l_k * n_k for l_k, n_k in shapes)
+    if off + 8 * size > len(blob):
+        raise DatasetTruncatedError("weight payload truncated")
+    if off + 8 * size != len(blob):
         raise DatasetHeaderError("trailing bytes after declared weight payload")
-    return ProximalStack(n=n, T=T, mode=mode, symmetric=symmetric, weights=tuple(its))
+    # W and Wbar of a layer share one shape, so zeros of the layer shapes
+    # lay out the stack, and the payload then fills its flat vector
+    layers = tuple((np.zeros(s), None if symmetric else np.zeros(s)) for s in shapes)
+    stack = ProximalStack(n=n, T=T, mode=mode, symmetric=symmetric, weights=(layers,) * reps)
+    stack.flat[:] = np.frombuffer(blob, dtype="<f8", offset=off)
+    return stack

@@ -196,6 +196,7 @@ class SetEvaluation:
     rho_max: float = math.nan  # largest mean per-iteration activation count
     epsilon: float = math.nan  # mu * rho_max^(3/2)
     bound: float = math.nan  # Theorem 1's bound at epsilon
+    eps_valid: bool | None = None  # epsilon < 1: Theorem 1's hypothesis holds
 
 
 def evaluate_set(
@@ -237,4 +238,5 @@ def evaluate_set(
     ev.surrogate, rho, ev.mu = path_surrogates(stack.weights[0][0][0], d, stack.n)
     ev.rho_max = float((rho.sum(axis=0) / len(Y)).max())
     ev.epsilon, ev.bound = theorem1_bound(ev.mu, ev.rho_max, stack.T)
+    ev.eps_valid = ev.epsilon < 1.0
     return ev

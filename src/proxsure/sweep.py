@@ -47,6 +47,7 @@ COLUMNS = [
     "epsilon",
     "dof_surrogate",
     "theorem1_bound",
+    "eps_valid",
 ]
 
 COLUMN_DOCS = {
@@ -66,6 +67,7 @@ COLUMN_DOCS = {
     "epsilon": "mu_w * rho_max^(3/2)",
     "dof_surrogate": "mean alternating path-sparsity sum",
     "theorem1_bound": "(1 + epsilon)^T - 1 - epsilon T",
+    "eps_valid": "True when epsilon < 1, the hypothesis of Theorem 1: only there do dof_surrogate and theorem1_bound carry its guarantee (nan with no surrogate; its summary mean is the share of valid seeds)",
 }
 
 
@@ -156,7 +158,8 @@ def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed:
         row["dof_mc_mean"] = float(np.mean([estimate for estimate, _ in mc]))
     if ev.surrogate is not None:
         row.update(mu_w=ev.mu, rho_max=ev.rho_max, epsilon=ev.epsilon,
-                   dof_surrogate=float(np.mean(ev.surrogate)), theorem1_bound=ev.bound)
+                   dof_surrogate=float(np.mean(ev.surrogate)), theorem1_bound=ev.bound,
+                   eps_valid=ev.eps_valid)
     return row
 
 
@@ -191,9 +194,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
     per-cell files written under the same config.
 
     Each cell file stores a SHA-256 of the config a cell depends on (see
-    _cell_config_sha256); a file whose hash is missing or differs is
-    recomputed, so a resumed directory never mixes configs, while growing
-    a grid or moving the directory reuses the cells already done.
+    _cell_config_sha256); a file whose hash is missing or differs, or
+    that lacks a column, is recomputed, so a resumed directory never
+    mixes configs, while growing a grid or moving the directory reuses
+    the cells already done.
 
     Each train split (sigma, N, seed) and test split (sigma, n_test, seed)
     is built once and shared, read-only, by the cells that use it (the ws
@@ -234,7 +238,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
             with open(path) as f:
                 row = json.load(f)
             key = (row.get("mode"), row.get("sigma"), row.get("n_train"), row.get("seed"))
-            if row.get("config_sha256") == config_sha256 and key == cell:
+            if row.get("config_sha256") == config_sha256 and key == cell and row.keys() >= set(COLUMNS):
                 return row
         started = time.perf_counter()
         row = run_cell(cfg, mode, sigma, n_train, seed)

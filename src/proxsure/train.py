@@ -9,7 +9,7 @@ contributions into the single weight set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,31 +21,6 @@ from .operators import SensingOperator, StepParams, identity_operator, step_matr
 
 DEFAULT_LR_GRID = (3e-4, 1e-3, 3e-3)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-def flatten_weights(stack: ProximalStack) -> list[np.ndarray]:
-    """Deterministic flat view: iteration-major, layer-major, W then Wbar."""
-    out = []
-    for layers in stack.weights:
-        for W, Wbar in layers:
-            out.append(W)
-            if Wbar is not None:
-                out.append(Wbar)
-    return out
-
-
-def stack_with_weights(stack: ProximalStack, arrays) -> ProximalStack:
-    """Rebuild a stack from a flat array list in flatten_weights order."""
-    it = iter(arrays)
-    its = []
-    for layers in stack.weights:
-        new_layers = []
-        for _, Wbar in layers:
-            W_new = next(it)
-            Wb_new = None if Wbar is None else next(it)
-            new_layers.append((W_new, Wb_new))
-        its.append(tuple(new_layers))
-    return replace(stack, weights=tuple(its))
 
 
 def loss_and_gradients(
@@ -175,21 +150,6 @@ class TrainRunResult:
     diverged_lrs: list[float] = field(default_factory=list)
 
 
-def _flat_stack(stack: ProximalStack):
-    """One contiguous copy of the weights and a stack that views into it.
-
-    Returns (buffer, stack); the stack's arrays are views into buffer in
-    flatten_weights order, so writing buffer updates the stack in place.
-    """
-    weights = flatten_weights(stack)
-    buffer = np.concatenate([w.ravel() for w in weights])
-    views, off = [], 0
-    for w in weights:
-        views.append(buffer[off : off + w.size].reshape(w.shape))
-        off += w.size
-    return buffer, stack_with_weights(stack, views)
-
-
 def train(
     x_train,
     y_train,
@@ -227,10 +187,8 @@ def train(
     for li, lr in enumerate(lr_grid):
         init_rng = np.random.default_rng([seed, li, 2])
         order_rng = np.random.default_rng([seed, li, 3])
-        buffer, stack = _flat_stack(
-            random_stack(n, hidden, T, mode, symmetric, seed=init_rng)
-        )
-        state = OptimizerState.for_weights([buffer], lr)
+        stack = random_stack(n, hidden, T, mode, symmetric, seed=init_rng)
+        state = OptimizerState.for_weights([stack.flat], lr)
         loss_hist, mse_hist = [], []
         steps_done = 0
         failed = False
@@ -255,8 +213,8 @@ def train(
                         failed = True
                         break
                     flat_grad = np.concatenate([g.ravel() for g in grads])
-                    new, state = adam_step(state, [buffer], [flat_grad])
-                    buffer[:] = new[0]
+                    new, state = adam_step(state, [stack.flat], [flat_grad])
+                    stack.flat[:] = new[0]
                     epoch_loss += loss * len(idx)
                     seen += len(idx)
                     steps_done += 1

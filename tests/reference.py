@@ -4,10 +4,14 @@ They sit beside the tests, not in the package: the data steps one
 operator application at a time (`apply_step`), which `step_matrices`
 must match; one residual unit with its input checks; the replay of a
 recorded forward pass from its masks through the frozen-mask stages;
-the RSS identity of a linear map; the B matrix and the per-term
-deviation check of the path expansion; the alternating path-sparsity
-sum over a term list (`dof_surrogate`), the oracle for the batched
-`path_surrogates`; and one input drawn away from the ReLU boundary."""
+a stack rebuilt from a weight list in flatten_weights order
+(`stack_with_weights`); the RSS identity of a linear map; the B matrix
+and the per-term deviation check of the path expansion; the
+alternating path-sparsity sum over a term list (`dof_surrogate`), the
+oracle for the batched `path_surrogates`; and one input drawn away
+from the ReLU boundary."""
+
+import dataclasses
 
 import numpy as np
 
@@ -52,6 +56,20 @@ def replay_from_trace(
     y = np.asarray(y, dtype=np.float64)
     x0 = apply_operator(op, y, "adjoint")
     return frozen_mask_pass(masks, stack, *step_matrices(op, step), x0, y)
+
+
+def stack_with_weights(stack: ProximalStack, arrays) -> ProximalStack:
+    """Rebuild a stack from a flat array list in flatten_weights order."""
+    it = iter(arrays)
+    its = []
+    for layers in stack.weights:
+        new_layers = []
+        for _, Wbar in layers:
+            W_new = next(it)
+            Wb_new = None if Wbar is None else next(it)
+            new_layers.append((W_new, Wb_new))
+        its.append(tuple(new_layers))
+    return dataclasses.replace(stack, weights=tuple(its))
 
 
 def gradient_step(x, y, op: SensingOperator, alpha: float):

@@ -20,15 +20,11 @@ from proxsure.jacobian import (
     jacobian_trace_exact,
     path_expansion,
 )
-from proxsure.network import forward_map, random_stack, unroll_forward
+from proxsure.network import flatten_weights, forward_map, random_stack, unroll_forward
 from proxsure.operators import StepParams, identity_operator
 from proxsure.risk import dof_monte_carlo
 from proxsure.sweep import run_cell, run_sweep
-from proxsure.train import (
-    flatten_weights,
-    loss_and_gradients,
-    stack_with_weights,
-)
+from proxsure.train import loss_and_gradients
 from proxsure.verify import (
     verify_jacobian,
     verify_lemma2,
@@ -38,7 +34,7 @@ from proxsure.verify import (
     verify_theorem1,
     verify_theorem1_trained,
 )
-from reference import _sample_regular_input
+from reference import _sample_regular_input, stack_with_weights
 
 STEP0 = StepParams("gradient", 0.0)
 

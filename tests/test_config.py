@@ -1,5 +1,6 @@
 import pytest
 
+from proxsure import cli
 from proxsure.config import ExperimentConfig, config_to_text, parse_config
 from proxsure.errors import ConfigError
 
@@ -149,3 +150,18 @@ def test_matrix_needs_n_columns():
     with pytest.raises(ConfigError) as err:
         parse_config('n = 8\noperator.kind = "dense"\noperator.matrix = [[1, 0], [0, 1]]\n')
     assert "operator.matrix" in str(err.value) and "n = 8" in str(err.value)
+
+
+@pytest.mark.parametrize("line", [
+    "sigma = true", "sigma_pixel = [true]", "n_train_grid = [true]", "model.hidden = [true]",
+    "seeds = [true]", "step.alpha = true", "optimizer.lr_grid = [true]",
+])
+def test_booleans_are_not_numbers_in_any_key(line, tmp_path):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError) as err:
+        parse_config(line + "\n")
+    assert key in str(err.value)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()

@@ -7,6 +7,7 @@ import pytest
 from proxsure.network import (
     ProximalStack,
     _unit,
+    flatten_weights,
     forward_map,
     load_stack,
     random_stack,
@@ -224,6 +225,55 @@ def test_weight_container_roundtrip(tmp_path, mode, symmetric):
             assert (Ba is None) == (Bb is None)
             if Ba is not None:
                 assert np.array_equal(Ba, Bb)
+
+
+@pytest.mark.parametrize("mode,symmetric", [("ws", True), ("wc", True), ("ws", False), ("wc", False)])
+def test_stack_copies_its_weights_into_one_flat_vector(mode, symmetric):
+    """flat is a float64 copy in flatten_weights order and every weight is
+    a view into it; a column-major source, given in several places, gets
+    its own row-major slice in each."""
+    rng = np.random.default_rng(2)
+    shared = np.asfortranarray(rng.standard_normal((3, 4)))
+    given = tuple(
+        ((shared, None if symmetric else shared),
+         (rng.standard_normal((2, 4)), None if symmetric else rng.standard_normal((2, 4))))
+        for _ in range(1 if mode == "ws" else 2)
+    )
+    stack = ProximalStack(n=4, T=2, mode=mode, symmetric=symmetric, weights=given)
+    flat = stack.flat
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous and flat.flags.owndata
+    sources = [w for layers in given for pair in layers for w in pair if w is not None]
+    weights = flatten_weights(stack)
+    assert flat.tobytes() == b"".join(np.ascontiguousarray(w).tobytes() for w in sources)
+    for src, w in zip(sources, weights, strict=True):
+        assert w.shape == src.shape and np.array_equal(w, src)
+        assert np.shares_memory(w, flat) and not np.shares_memory(w, src)
+    before = flat.copy()
+    for src in sources:
+        src += 1.0
+    assert np.array_equal(stack.flat, before)
+    flat[:] = np.arange(flat.size)
+    assert np.array_equal(np.concatenate([w.ravel() for w in weights]), np.arange(flat.size))
+    for a, b in zip(weights, weights[1:]):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("mode,symmetric", [("ws", True), ("wc", True), ("ws", False), ("wc", False)])
+@pytest.mark.parametrize("hidden", [[4], [4, 3]], ids=["K1", "K2"])
+def test_weight_container_is_its_header_then_flat(tmp_path, mode, symmetric, hidden):
+    import struct
+
+    stack = random_stack(6, hidden, T=3, mode=mode, symmetric=symmetric, seed=8)
+    path = tmp_path / "weights.bin"
+    save_stack(stack, path)
+    header = b"SUNW1" + struct.pack("<4I", int(mode == "wc"), int(symmetric), 3, len(hidden))
+    header += b"".join(struct.pack("<2I", l, 6) for l in hidden)
+    assert path.read_bytes() == header + stack.flat.tobytes()
+    loaded = load_stack(path)
+    assert loaded.flat.tobytes() == stack.flat.tobytes()
+    assert loaded.flat.flags.writeable and loaded.flat.flags.owndata
+    loaded.flat[:] = 0.0
+    assert not any(w.any() for w in flatten_weights(loaded))
 
 
 def test_corrupt_weight_container(tmp_path):

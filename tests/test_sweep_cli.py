@@ -245,6 +245,46 @@ def test_resume_recomputes_cell_whose_sigma_shares_its_file_name(tmp_path, tiny_
     assert [c[1:] for c in cell_calls] == [("ws", 0.2000002, 8, 0)]
 
 
+def test_resume_recomputes_cell_file_that_lacks_a_column(tmp_path, tiny_cfg, cell_calls):
+    cfg = parse_config(tiny_cfg.read_text())
+    out = tmp_path / "out"
+    first = open(run_sweep(cfg, out), "rb").read()
+    (cell_file,) = out.glob("cell_*.json")
+    row = json.loads(cell_file.read_text())
+    del row["eps_valid"]
+    cell_file.write_text(json.dumps(row, sort_keys=True))
+    cell_calls.clear()
+    assert open(run_sweep(cfg, out), "rb").read() == first
+    assert [c[1:] for c in cell_calls] == [("ws", 0.2, 8, 0)]
+
+
+TREND_SIZED_CONFIG = """\
+n = 32
+data.rank = 4
+sigma = 0.1
+n_train_grid = [16]
+n_test = 16
+model.iterations = 3
+model.mode = ["ws", "wc"]
+optimizer.epochs = 2
+optimizer.lr_grid = [0.001]
+"""
+
+
+@pytest.mark.parametrize("hidden,valid", [(64, False), (2, True)])
+def test_eps_valid_marks_cells_where_theorem1_applies(tmp_path, hidden, valid):
+    """l = 64 rows of W in n = 32 dimensions cannot be near-orthogonal,
+    so epsilon >= 1; l = 2 rows stay within the theorem."""
+    cfg = parse_config(TREND_SIZED_CONFIG + f"model.hidden = [{hidden}]\n")
+    rows = read_csv(run_sweep(cfg, tmp_path / "out"))
+    ws, wc = (next(r for r in rows if r["mode"] == m) for m in ("ws", "wc"))
+    assert ws["eps_valid"] == str(valid)
+    assert (float(ws["epsilon"]) < 1) == valid
+    assert wc["eps_valid"] == "nan"  # no surrogate for a wc stack
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["ws|0.1|16"]["eps_valid"]["mean"] == float(valid)
+
+
 # --- CLI ------------------------------------------------------------------
 
 

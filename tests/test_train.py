@@ -3,21 +3,20 @@ import pytest
 
 from proxsure.data import Dataset, generate_subspace_data, add_noise
 from proxsure.errors import NonFiniteError, TrainingFailureError
-from proxsure.network import ProximalStack, random_stack
+from proxsure.network import ProximalStack, flatten_weights, random_stack
 from proxsure.operators import StepParams, identity_operator, circular_operator
 from proxsure.train import (
     FIXED_POINT_TAIL,
     OptimizerState,
     adam_step,
     fixed_point_jacobian,
-    flatten_weights,
     loss_and_gradients,
     mask_fixed_point,
     pca_closed_form,
     projection_objective,
-    stack_with_weights,
     train,
 )
+from reference import stack_with_weights
 
 STEP0 = StepParams("gradient", 0.0)
 
