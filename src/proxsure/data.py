@@ -127,6 +127,14 @@ def add_noise(x, sigma: float, seed: int = 0) -> np.ndarray:
     return out[0] if single else out
 
 
+def noisy_split(make, N: int, sigma: float, seed: int, tag: int, test: bool = False):
+    """A split (clean, clean.samples + v) with clean = make(N, (seed, tag),
+    offset): offset 0, or TEST_OFFSET when held out (test), and noise
+    seeded (seed, tag + 2), or (seed, tag + 3) when held out."""
+    clean = make(N, (seed, tag), TEST_OFFSET if test else 0)
+    return clean, add_noise(clean.samples, sigma, seed=(seed, tag + 3 if test else tag + 2))
+
+
 def sample_correlation(dataset: Dataset) -> np.ndarray:
     """C_x = (1/N) sum_i x_i x_i^H."""
     if dataset.N < 1:

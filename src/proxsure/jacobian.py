@@ -363,6 +363,7 @@ class JacobianReport:
                 "epsilon": self.epsilon,
                 "surrogate": self.surrogate,
                 "bound": self.bound,
+                "valid": self.epsilon < 1.0,
                 "paths": [
                     {
                         "I": list(t.index_set),

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import time
+from functools import partial
 
 import numpy as np
 
@@ -65,35 +66,35 @@ COLUMN_DOCS = {
     "mu_w": "largest off-diagonal inner product of the shared W",
     "rho_max": "largest mean per-iteration activation count",
     "epsilon": "mu_w * rho_max^(3/2)",
-    "dof_surrogate": "mean alternating path-sparsity sum",
-    "theorem1_bound": "(1 + epsilon)^T - 1 - epsilon T",
+    "dof_surrogate": "mean alternating path-sparsity sum (its summary mean and count cover only seeds with eps_valid true)",
+    "theorem1_bound": "(1 + epsilon)^T - 1 - epsilon T (its summary mean and count cover only seeds with eps_valid true)",
     "eps_valid": "True when epsilon < 1, the hypothesis of Theorem 1: only there do dof_surrogate and theorem1_bound carry its guarantee (nan with no surrogate; its summary mean is the share of valid seeds)",
 }
 
 
 # The splits that the cells of the running run_sweep share: (its config,
-# {(sigma, N, seed, test): [cells still to use it, split or None]}).
+# {(sigma, N, seed, test): split}).
 _shared_splits = contextvars.ContextVar("shared_splits", default=None)
 
 
 def cell_split(cfg: ExperimentConfig, op, sigma: float, N: int, seed: int, test: bool = False):
-    """A cell's train or test split: (clean samples, measurements Phi(x + v)).
+    """A cell's train or test split: (clean samples, measurements Phi(x + v)),
+    drawn by data.noisy_split with tag 10.
 
     Inside run_sweep a split is built once and its read-only arrays are
     handed to every cell of the sweep that uses it.
     """
     shared = _shared_splits.get()
-    entry = shared[1].get((sigma, N, seed, test)) if shared and shared[0] is cfg else None
-    if entry is not None and entry[1] is not None:
-        return entry[1]
-    offset, noise_tag = (datamod.TEST_OFFSET, 13) if test else (0, 12)
-    clean = build_dataset(cfg, N, (seed, 10), offset)
-    noisy = datamod.add_noise(clean.samples, sigma, seed=(seed, noise_tag))
+    splits = shared[1] if shared and shared[0] is cfg else None
+    key = (sigma, N, seed, test)
+    if splits is not None and key in splits:
+        return splits[key]
+    clean, noisy = datamod.noisy_split(partial(build_dataset, cfg), N, sigma, seed, 10, test)
     split = clean, apply_operator(op, noisy)
-    if entry is not None:
+    if splits is not None:
         clean.samples.flags.writeable = False
         split[1].flags.writeable = False
-        entry[1] = split
+        splits[key] = split
     return split
 
 
@@ -183,12 +184,6 @@ def _cell_config_sha256(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(config_to_text(cell_cfg).encode()).hexdigest()
 
 
-def _split_keys(cfg: ExperimentConfig, cell):
-    """Keys of a (mode, sigma, N, seed) cell's train and test splits."""
-    _mode, sigma, n_train, seed = cell
-    return (sigma, n_train, seed, False), (sigma, cfg.n_test, seed, True)
-
-
 def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
     """Run all cells in order in the calling thread, resuming from
     per-cell files written under the same config.
@@ -201,8 +196,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
 
     Each train split (sigma, N, seed) and test split (sigma, n_test, seed)
     is built once and shared, read-only, by the cells that use it (the ws
-    and wc cells of one (sigma, N, seed)); it is dropped after the last of
-    them, and none is held once the sweep returns.
+    and wc cells of one (sigma, N, seed)). The splits are held for the
+    sweep's life and dropped when it returns or raises.
 
     workers is ignored, kept only for callers that still pass it: a train
     step is ~65 numpy calls of 1-5 us that each release the GIL, so a
@@ -224,11 +219,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
         for seed in cfg.seeds
     ]
 
-    splits = {}
-    for cell in cells:
-        for key in _split_keys(cfg, cell):
-            splits.setdefault(key, [0, None])[0] += 1
-
     timings = {}
 
     def compute(cell):
@@ -249,15 +239,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
         os.replace(tmp, path)
         return row
 
+    splits = {}
     token = _shared_splits.set((cfg, splits))
     try:
-        rows = []
-        for cell in cells:
-            rows.append(compute(cell))
-            for key in _split_keys(cfg, cell):
-                splits[key][0] -= 1
-                if splits[key][0] == 0:
-                    del splits[key]
+        rows = [compute(cell) for cell in cells]
     finally:
         _shared_splits.reset(token)
         splits.clear()
@@ -279,21 +264,19 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
     summary_out = {}
     for key, group in sorted(summary.items()):
         agg = {}
+        valid = [g for g in group if g["eps_valid"] is True]
         for col in COLUMNS:
             if col in ("seed", "mode", "status"):
                 continue
-            vals = [g[col] for g in group if isinstance(g[col], (int, float))]
-            finite = [v for v in vals if math.isfinite(v)]
-            if not finite:
-                agg[col] = {"mean": "nan", "std_error": "nan"}
-                continue
-            mean = float(np.mean(finite))
-            se = (
-                float(np.std(finite, ddof=1) / math.sqrt(len(finite)))
-                if len(finite) > 1
-                else 0.0
-            )
-            agg[col] = {"mean": mean, "std_error": se}
+            support = valid if col in ("dof_surrogate", "theorem1_bound") else group
+            finite = [g[col] for g in support
+                      if isinstance(g[col], (int, float)) and math.isfinite(g[col])]
+            agg[col] = {
+                "count": len(finite),
+                "mean": float(np.mean(finite)) if finite else "nan",
+                "std_error": (float(np.std(finite, ddof=1) / math.sqrt(len(finite)))
+                              if len(finite) > 1 else None),
+            }
         summary_out[key] = agg
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
         json.dump(summary_out, f, sort_keys=True, indent=1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, islice
 
 import numpy as np
@@ -157,13 +158,10 @@ def verify_theorem1_trained(
     max_violation = -math.inf
     checked = exempt = 0
     rows = []
+    make = partial(datamod.generate_subspace_data, n, rank)
     for seed in seeds:
-        train_set = datamod.generate_subspace_data(n, rank, n_train, seed=(seed, 20))
-        test_set = datamod.generate_subspace_data(
-            n, rank, n_eval, seed=(seed, 20), offset=datamod.TEST_OFFSET
-        )
-        y_train = datamod.add_noise(train_set.samples, sigma, seed=(seed, 22))
-        y_eval = datamod.add_noise(test_set.samples, sigma, seed=(seed, 23))
+        train_set, y_train = datamod.noisy_split(make, n_train, sigma, seed, 20)
+        test_set, y_eval = datamod.noisy_split(make, n_eval, sigma, seed, 20, test=True)
         for T in T_values:
             result = train(
                 train_set.samples, y_train, test_set.samples, y_eval,
@@ -335,12 +333,9 @@ def verify_sure_unbiased(
     """Paired check that mean SURE tracks mean MSE over fresh noise draws."""
     op = identity_operator(n)
     step = StepParams("gradient", 0.0)
-    train_set = datamod.generate_subspace_data(n, rank, 512, seed=(seed, 30))
-    test_set = datamod.generate_subspace_data(
-        n, rank, 64, seed=(seed, 30), offset=datamod.TEST_OFFSET
-    )
-    y_train = datamod.add_noise(train_set.samples, sigma, seed=(seed, 32))
-    y_eval = datamod.add_noise(test_set.samples, sigma, seed=(seed, 33))
+    make = partial(datamod.generate_subspace_data, n, rank)
+    train_set, y_train = datamod.noisy_split(make, 512, sigma, seed, 30)
+    test_set, y_eval = datamod.noisy_split(make, 64, sigma, seed, 30, test=True)
     result = train(
         train_set.samples, y_train, test_set.samples, y_eval, op, step,
         hidden=[2 * n], T=3, mode="ws", symmetric=True,

@@ -8,6 +8,7 @@ from proxsure.data import (
     generate_sparse_data,
     generate_subspace_data,
     load_dataset,
+    noisy_split,
     sample_correlation,
     save_dataset,
 )
@@ -66,6 +67,24 @@ def test_add_noise_sigma_zero_and_determinism():
     assert np.array_equal(add_noise(x, 0.3, seed=1), add_noise(x, 0.3, seed=1))
     with pytest.raises(ValueError):
         add_noise(x, -0.1)
+
+
+@pytest.mark.parametrize("tag", [10, 20, 30])
+def test_noisy_split_matches_the_explicit_draws_it_replaces(tag):
+    """Data seeded (seed, tag), held-out samples from TEST_OFFSET, noise
+    seeded (seed, tag + 2) for train and (seed, tag + 3) held out."""
+    from functools import partial
+
+    n, r, sigma, seed = 8, 3, 0.15, 4
+    noise_seeds = {10: (12, 13), 20: (22, 23), 30: (32, 33)}[tag]
+    make = partial(generate_subspace_data, n, r)
+    for N, test, offset, noise_tag in ((12, False, 0, noise_seeds[0]),
+                                       (5, True, 1_000_000, noise_seeds[1])):
+        clean, y = noisy_split(make, N, sigma, seed, tag, test=test)
+        expected = generate_subspace_data(n, r, N, seed=(seed, tag), offset=offset)
+        assert clean.samples.tobytes() == expected.samples.tobytes()
+        assert clean.seed == (seed, tag)
+        assert y.tobytes() == add_noise(expected.samples, sigma, seed=(seed, noise_tag)).tobytes()
 
 
 def test_add_noise_variance_concentration():

@@ -177,7 +177,8 @@ def test_jacobian_report_json_schema():
     report = jacobian_report(tr, stack, op, STEP0)
     payload = json.loads(report.to_json())
     assert set(payload) == {"n", "T", "trace", "mu_w", "rho", "epsilon",
-                            "surrogate", "bound", "paths"}
+                            "surrogate", "bound", "valid", "paths"}
+    assert payload["valid"] is (payload["epsilon"] < 1)
     assert len(payload["paths"]) == 2**2 - 1
     assert set(payload["paths"][0]) == {"I", "trace", "p", "bound"}
 

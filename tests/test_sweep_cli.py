@@ -204,6 +204,66 @@ def test_sweep_builds_each_split_once_and_shares_it_across_modes(
     assert all(ref() is None for clean, y, *_ in returned for ref in (clean, y))
 
 
+def test_sweep_that_raises_partway_holds_no_split(tmp_path, tiny_cfg, monkeypatch):
+    import gc
+    import weakref
+
+    built, cell_split, run_cell = [], sweep.cell_split, sweep.run_cell
+
+    def recording_split(*args, **kwargs):
+        clean, y = cell_split(*args, **kwargs)
+        built.append((weakref.ref(clean.samples), weakref.ref(y)))
+        return clean, y
+
+    def failing_cell(cfg, mode, *args):
+        if mode == "wc":
+            raise RuntimeError("cell failed")
+        return run_cell(cfg, mode, *args)
+
+    monkeypatch.setattr(sweep, "cell_split", recording_split)
+    monkeypatch.setattr(sweep, "run_cell", failing_cell)
+    text = tiny_cfg.read_text().replace('["ws"]', '["ws", "wc"]').replace("[0]", "[0, 1]")
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_sweep(parse_config(text), tmp_path / "out")
+
+    assert len(built) == 4  # the two ws cells' train and test splits
+    gc.collect()
+    assert sweep._shared_splits.get() is None
+    assert all(ref() is None for refs in built for ref in refs)
+
+
+def test_summary_counts_finite_values_and_averages_the_surrogate_only_where_valid(
+    tmp_path, tiny_cfg, monkeypatch
+):
+    import math
+
+    nan = math.nan
+    cells = {
+        0: dict(test_mse=1.0, dof_surrogate=2.0, theorem1_bound=0.5, eps_valid=True),
+        1: dict(test_mse=3.0, dof_surrogate=-17.0, theorem1_bound=6e5, eps_valid=False),
+        2: dict(status="training-failure"),
+    }
+
+    def fake_cell(cfg, mode, sigma, n_train, seed):
+        row = {c: nan for c in COLUMNS}
+        row.update(seed=seed, mode=mode, sigma=sigma, n_train=n_train, status="ok")
+        row.update(cells[seed])
+        return row
+
+    monkeypatch.setattr(sweep, "run_cell", fake_cell)
+    out = tmp_path / "out"
+    rows = read_csv(run_sweep(parse_config(tiny_cfg.read_text().replace("[0]", "[0, 1, 2]")), out))
+    assert [r["dof_surrogate"] for r in rows] == ["2.0", "-17.0", "nan"]
+
+    summary = json.loads((out / "summary.json").read_text())["ws|0.2|8"]
+    assert summary["test_mse"] == {"count": 2, "mean": 2.0, "std_error": 1.0}
+    assert summary["eps_valid"] == {"count": 2, "mean": 0.5, "std_error": 0.5}
+    assert summary["dof_surrogate"] == {"count": 1, "mean": 2.0, "std_error": None}
+    assert summary["theorem1_bound"] == {"count": 1, "mean": 0.5, "std_error": None}
+    assert summary["rss_mean"] == {"count": 0, "mean": "nan", "std_error": None}
+    assert summary["n_train"] == {"count": 3, "mean": 8.0, "std_error": 0.0}
+
+
 def test_resume_recomputes_cells_of_another_config(tmp_path, tiny_cfg):
     cfg = parse_config(tiny_cfg.read_text())
     other = parse_config(tiny_cfg.read_text().replace("optimizer.epochs = 2", "optimizer.epochs = 3"))
@@ -283,6 +343,23 @@ def test_eps_valid_marks_cells_where_theorem1_applies(tmp_path, hidden, valid):
     assert wc["eps_valid"] == "nan"  # no surrogate for a wc stack
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["ws|0.1|16"]["eps_valid"]["mean"] == float(valid)
+    # one seed: no spread; an invalid surrogate and bound are not averaged
+    for col in ("dof_surrogate", "theorem1_bound"):
+        mean = float(ws[col]) if valid else "nan"
+        assert summary["ws|0.1|16"][col] == {"count": int(valid), "mean": mean, "std_error": None}
+
+
+@pytest.mark.parametrize("hidden,valid", [(64, False), (2, True)])
+def test_cli_jacobian_report_prints_whether_theorem1_applies(tmp_path, capsys, hidden, valid):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TREND_SIZED_CONFIG + f"model.hidden = [{hidden}]\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    weights = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["weights"]
+    y = json.dumps([0.1 * ((-1) ** i) * (i % 5) for i in range(32)])
+    assert cli.main(["jacobian-report", weights, y, "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is valid
+    assert (report["epsilon"] < 1) == valid
 
 
 # --- CLI ------------------------------------------------------------------
@@ -309,6 +386,30 @@ def test_cli_train_then_evaluate(tmp_path, tiny_cfg, capsys):
     report = json.loads(capsys.readouterr().out.strip().splitlines()[0])
     assert report["n_test"] == 8
     assert "sure_mean" in report
+
+
+def test_evaluate_psnr_mean_averages_per_input_psnrs_and_sweep_psnr_is_of_the_mean_mse(
+    tmp_path, tiny_cfg, capsys
+):
+    """The same net on the same test split: `proxsure train` and the
+    one-cell sweep train the (ws, sigma, N, seed 0) cell alike."""
+    import math
+
+    import numpy as np
+
+    (row,) = read_csv(run_sweep(parse_config(tiny_cfg.read_text()), tmp_path / "sweep"))
+    assert float(row["psnr"]) == -10.0 * math.log10(float(row["test_mse"]))
+
+    assert cli.main(["train", "--config", str(tiny_cfg), "--out", str(tmp_path / "run")]) == 0
+    weights = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["weights"]
+    assert cli.main(["evaluate", weights, "--config", str(tiny_cfg), "--per-input"]) == 0
+    mean, *per_input = map(json.loads, capsys.readouterr().out.strip().splitlines())
+    psnrs = [-10.0 * math.log10(r["mse_vs_truth"]) for r in per_input]
+    assert [r["psnr"] for r in per_input] == psnrs
+    assert mean["psnr_mean"] == float(np.mean(psnrs))
+    assert mean["mse_mean"] == pytest.approx(float(row["test_mse"]), rel=1e-12)
+    # by Jensen's inequality the mean of the PSNRs exceeds the PSNR of the mean
+    assert mean["psnr_mean"] > float(row["psnr"])
 
 
 def test_cli_sweep_and_report(tmp_path, tiny_cfg, capsys):
