@@ -127,6 +127,10 @@ def _cmd_verify(args) -> int:
     if unknown:
         print(f"usage error: verify {args.check} takes no --{unknown[0]}", file=sys.stderr)
         return 1
+    for flag, low in (("trials", 1), ("seed", 0)):
+        if kwargs.get(flag, low) < low:
+            print(f"usage error: verify --{flag} must be >= {low}", file=sys.stderr)
+            return 1
     report = fn(**kwargs)
     print(report.to_json())
     if args.out:

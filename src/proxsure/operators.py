@@ -1,10 +1,10 @@
 """Linear measurement operators and data-consistency steps.
 
-All operators act on the last axis of their argument, so a batch of row
-vectors with shape (B, n) works the same as a single (n,) vector.
-Everything is real float64; the subsampled-DFT operator exposes its
-complex coefficients as stacked real/imaginary channels so the rest of
-the pipeline never sees complex numbers.
+Every operator is its m-by-n float64 matrix Phi, built once by its
+factory and read-only; the subsampled DFT stacks its real rows over its
+imaginary rows, so the pipeline never sees complex numbers.
+`apply_operator` is one product on the last axis, so a batch (B, n)
+works the same as one (n,) vector; the identity is applied as a copy.
 """
 
 from __future__ import annotations
@@ -19,41 +19,46 @@ VALID_KINDS = ("identity", "dense", "circular", "dft")
 STEP_KINDS = ("gradient", "ls", "deblur")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensingOperator:
-    """Forward map with kind in {identity, dense, circular, dft}.
+    """Forward map Phi with kind in {identity, dense, circular, dft}.
 
-    Immutable after construction; use the factory functions below.
+    The operator owns a read-only float64 copy of its m-by-n matrix;
+    use the factory functions below.
     """
 
     kind: str
-    n: int
-    m: int
-    matrix: np.ndarray | None = field(default=None, repr=False)
-    kernel: np.ndarray | None = field(default=None, repr=False)
-    omega: np.ndarray | None = field(default=None, repr=False)
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.n <= 0:
-            raise ValueError("operator needs n >= 1")
+        A = np.array(self.matrix, dtype=np.float64)
+        if A.ndim != 2 or A.shape[1] == 0:
+            raise ValueError("operator needs an m-by-n matrix with n >= 1")
+        A.flags.writeable = False
+        object.__setattr__(self, "matrix", A)
+
+    @property
+    def m(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[1]
 
 
 def identity_operator(n: int) -> SensingOperator:
-    return SensingOperator("identity", n=n, m=n)
+    return SensingOperator("identity", np.eye(n))
 
 
 def dense_operator(matrix) -> SensingOperator:
-    A = np.asarray(matrix, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("dense operator needs a 2-D real matrix")
-    m, n = A.shape
-    return SensingOperator("dense", n=n, m=m, matrix=A)
+    return SensingOperator("dense", matrix)
 
 
 def circular_operator(kernel, n: int) -> SensingOperator:
-    """Circular convolution of a length-n signal with a 1-D kernel."""
+    """Circular convolution of a length-n signal with a 1-D kernel:
+    Phi[i, j] = kernel[(i - j) mod n], zero-padded to length n."""
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 1:
         raise ValueError("kernel must be 1-D")
@@ -61,7 +66,7 @@ def circular_operator(kernel, n: int) -> SensingOperator:
         raise ValueError("kernel longer than the signal")
     pad = np.zeros(n)
     pad[: len(k)] = k
-    return SensingOperator("circular", n=n, m=n, kernel=pad)
+    return SensingOperator("circular", pad[np.subtract.outer(np.arange(n), np.arange(n)) % n])
 
 
 def dft_operator(n: int, omega) -> SensingOperator:
@@ -74,7 +79,8 @@ def dft_operator(n: int, omega) -> SensingOperator:
     """
     idx = np.asarray(omega, dtype=np.int64) % n
     sym = np.union1d(idx, (-idx) % n)
-    return SensingOperator("dft", n=n, m=2 * len(sym), omega=sym)
+    F = np.fft.fft(np.eye(n), axis=0)[sym] / np.sqrt(n)
+    return SensingOperator("dft", np.concatenate([F.real, F.imag]))
 
 
 def _check_len(u, expected, what):
@@ -92,37 +98,17 @@ def apply_operator(op: SensingOperator, u, direction: str = "forward") -> np.nda
 
     if op.kind == "identity":
         return u.copy()
-
-    if op.kind == "dense":
-        A = op.matrix
-        return u @ (A.T if forward else A)
-
-    if op.kind == "circular":
-        kf = np.fft.fft(op.kernel)
-        uf = np.fft.fft(u, axis=-1)
-        mul = kf if forward else np.conj(kf)
-        return np.fft.ifft(uf * mul, axis=-1).real
-
-    # subsampled unitary DFT, real/imaginary stacked channels
-    p = len(op.omega)
-    root_n = np.sqrt(op.n)
-    if forward:
-        z = np.fft.fft(u, axis=-1)[..., op.omega] / root_n
-        return np.concatenate([z.real, z.imag], axis=-1)
-    z = u[..., :p] + 1j * u[..., p:]
-    full = np.zeros(u.shape[:-1] + (op.n,), dtype=np.complex128)
-    full[..., op.omega] = z
-    return (np.fft.ifft(full, axis=-1) * root_n).real
+    return u @ (op.matrix.T if forward else op.matrix)
 
 
 def operator_matrix(op: SensingOperator) -> np.ndarray:
-    """Materialize Phi as an m-by-n matrix."""
-    return apply_operator(op, np.eye(op.n)).T
+    """Phi as an m-by-n matrix (the operator's own, read-only)."""
+    return op.matrix
 
 
 def gram_matrix(op: SensingOperator) -> np.ndarray:
-    """Materialize the normal map Phi^H Phi as an n-by-n matrix."""
-    return apply_operator(op, apply_operator(op, np.eye(op.n)), "adjoint").T
+    """The normal map Phi^H Phi as an n-by-n matrix."""
+    return op.matrix.T @ op.matrix
 
 
 @dataclass(frozen=True)

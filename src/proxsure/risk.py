@@ -74,7 +74,8 @@ def dof_monte_carlo(
     The probes e_k are Rademacher (+-1): the rows of one (K, n) draw from
     default_rng(seed) (an int or a sequence of ints). The draw is
     prefix-stable: probe k is the same for every K > k. Returns
-    (estimate, standard error).
+    (estimate, standard error); one probe has no spread, so its standard
+    error is nan.
     """
     if K < 1:
         raise ValueError("need at least one probe")
@@ -94,7 +95,7 @@ def dof_monte_carlo(
         raise NonFiniteError("non-finite output during Monte-Carlo probing")
     samples = np.einsum("ki,ki->k", probes, diffs)
     estimate = float(samples.mean())
-    std_error = float(samples.std(ddof=1) / math.sqrt(K)) if K > 1 else 0.0
+    std_error = float(samples.std(ddof=1) / math.sqrt(K)) if K > 1 else math.nan
     return estimate, std_error
 
 

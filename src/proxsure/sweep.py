@@ -266,7 +266,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
         agg = {}
         valid = [g for g in group if g["eps_valid"] is True]
         for col in COLUMNS:
-            if col in ("seed", "mode", "status"):
+            if col in ("seed", "mode", "sigma", "n_train", "status"):
                 continue
             support = valid if col in ("dof_surrogate", "theorem1_bound") else group
             finite = [g[col] for g in support
@@ -295,15 +295,15 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
 def report_plots(csv_path, out_dir) -> list[str]:
     """Reshape a sweep CSV into long-format per-figure files.
 
-    One file per y-quantity with columns (n_train, mode, value), value
-    averaged across seeds. Raises on missing columns.
+    One file per y-quantity with columns (n_train, mode, sigma, value),
+    value averaged across seeds. Raises on missing columns.
     """
     with open(csv_path, newline="") as f:
         reader = csv.DictReader(f)
         rows = list(reader)
     if not rows:
         raise ProxsureError("empty sweep CSV")
-    needed = {"n_train", "mode", "seed", "psnr", "rss_mean", "dof_exact_mean"}
+    needed = {"n_train", "mode", "sigma", "seed", "psnr", "rss_mean", "dof_exact_mean"}
     missing = needed - set(rows[0].keys())
     if missing:
         raise ProxsureError(f"sweep CSV missing columns: {sorted(missing)}")
@@ -312,14 +312,14 @@ def report_plots(csv_path, out_dir) -> list[str]:
     for quantity in ("psnr", "rss_mean", "dof_exact_mean"):
         groups = {}
         for row in rows:
-            key = (int(row["n_train"]), row["mode"])
+            key = (int(row["n_train"]), row["mode"], float(row["sigma"]))
             val = float(row[quantity])
             if math.isfinite(val):
                 groups.setdefault(key, []).append(val)
         path = os.path.join(out_dir, f"fig_{quantity}.csv")
         with open(path, "w") as f:
-            f.write("n_train,mode,value\n")
-            for (n_train, mode), vals in sorted(groups.items()):
-                f.write(f"{n_train},{mode},{_fmt(float(np.mean(vals)))}\n")
+            f.write("n_train,mode,sigma,value\n")
+            for (n_train, mode, sigma), vals in sorted(groups.items()):
+                f.write(f"{n_train},{mode},{_fmt(sigma)},{_fmt(float(np.mean(vals)))}\n")
         outputs.append(path)
     return outputs

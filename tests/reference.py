@@ -8,8 +8,9 @@ a stack rebuilt from a weight list in flatten_weights order
 (`stack_with_weights`); the RSS identity of a linear map; the B matrix
 and the per-term deviation check of the path expansion; the
 alternating path-sparsity sum over a term list (`dof_surrogate`), the
-oracle for the batched `path_surrogates`; and one input drawn away
-from the ReLU boundary."""
+oracle for the batched `path_surrogates`; one input drawn away from
+the ReLU boundary; and the FFT formulas of the circular and DFT
+operators (`circular_fft`, `dft_fft`), which their matrices must match."""
 
 import dataclasses
 
@@ -134,6 +135,31 @@ def adjoint_gap(op: SensingOperator, rng: np.random.Generator) -> float:
     lhs = float(apply_operator(op, u) @ v)
     rhs = float(u @ apply_operator(op, v, "adjoint"))
     return abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def circular_fft(kernel, n: int, u, direction: str = "forward"):
+    """Circular convolution (forward) or correlation (adjoint) of the
+    rows of u with the zero-padded kernel, through the FFT."""
+    pad = np.zeros(n)
+    pad[: len(kernel)] = kernel
+    kf = np.fft.fft(pad)
+    mul = kf if direction == "forward" else np.conj(kf)
+    return np.fft.ifft(np.fft.fft(u, axis=-1) * mul, axis=-1).real
+
+
+def dft_fft(n: int, omega, u, direction: str = "forward"):
+    """The unitary DFT sampled at omega symmetrized under k -> -k mod n,
+    real parts stacked over imaginary parts (forward), and its adjoint,
+    through the FFT."""
+    idx = np.asarray(omega, dtype=np.int64) % n
+    sym = np.union1d(idx, (-idx) % n)
+    if direction == "forward":
+        z = np.fft.fft(u, axis=-1)[..., sym] / np.sqrt(n)
+        return np.concatenate([z.real, z.imag], axis=-1)
+    p = len(sym)
+    full = np.zeros(u.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., sym] = u[..., :p] + 1j * u[..., p:]
+    return (np.fft.ifft(full, axis=-1) * np.sqrt(n)).real
 
 
 def residual_identity(J, y):

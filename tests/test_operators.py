@@ -15,7 +15,14 @@ from proxsure.operators import (
     operator_matrix,
     step_matrices,
 )
-from reference import adjoint_gap, apply_step, gradient_step, least_squares_step
+from reference import (
+    adjoint_gap,
+    apply_step,
+    circular_fft,
+    dft_fft,
+    gradient_step,
+    least_squares_step,
+)
 
 
 def all_operators(n=8):
@@ -181,3 +188,37 @@ def test_zero_alpha_step_is_the_identity_map(op, kind):
     x = rng.standard_normal(op.n)
     y = rng.standard_normal(op.m)
     assert apply_step(x, y, op, step).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_circular_matrix_matches_the_fft_reference(n):
+    """A non-symmetric kernel pins the circulant's orientation."""
+    kernel = [0.6, 0.25, 0.15]
+    op = circular_operator(kernel, n=n)
+    U = np.random.default_rng(n).standard_normal((3, n))
+    for direction in ("forward", "adjoint"):
+        want = circular_fft(kernel, n, U, direction)
+        assert np.max(np.abs(apply_operator(op, U, direction) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, omega, m", [(8, [0, 4, 1], 8), (7, [0, 2], 6), (8, [3], 4)])
+def test_dft_matrix_matches_the_fft_reference(n, omega, m):
+    """Omega holding 0 and n/2 (each its own mirror), and m < n."""
+    op = dft_operator(n, omega)
+    assert op.m == m
+    rng = np.random.default_rng(n)
+    U, V = rng.standard_normal((3, n)), rng.standard_normal((3, op.m))
+    assert np.max(np.abs(apply_operator(op, U) - dft_fft(n, omega, U))) <= 1e-12
+    assert np.max(np.abs(apply_operator(op, V, "adjoint") - dft_fft(n, omega, V, "adjoint"))) <= 1e-12
+
+
+def test_operator_matrix_is_read_only_and_owned():
+    source = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    op = dense_operator(source)
+    source[0, 0] = 9.0
+    assert op.matrix[0, 0] == 1.0
+    assert (op.m, op.n) == (2, 3)
+    for op in all_operators():
+        assert not op.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 1.0

@@ -55,6 +55,15 @@ def test_mc_identity_is_exact_with_rademacher():
     assert se == 0.0
 
 
+def test_mc_one_probe_has_no_standard_error():
+    """One probe has no spread: nan (null in a report), never 0.0; RuntimeWarnings fail the suite."""
+    y = np.random.default_rng(4).standard_normal(5)
+    est, se = dof_monte_carlo(lambda v: 2.0 * v, y, K=1)
+    assert est == pytest.approx(10.0) and math.isnan(se)
+    report = sure_report(lambda v: 2.0 * v, y, 0.1, mc_probes=1)
+    assert json.loads(report.to_json())["mc_std_error"] is None
+
+
 def test_mc_zero_map():
     est, _ = dof_monte_carlo(lambda v: np.zeros_like(v), np.ones(4), K=4)
     assert est == 0.0

@@ -85,7 +85,25 @@ def test_report_plots(tmp_path, tiny_cfg):
     outputs = report_plots(csv_path, tmp_path / "figs")
     assert len(outputs) == 3
     rows = read_csv(outputs[0])
-    assert rows and set(rows[0]) == {"n_train", "mode", "value"}
+    assert rows and set(rows[0]) == {"n_train", "mode", "sigma", "value"}
+
+
+def test_report_plots_averages_over_seeds_within_each_sigma(tmp_path):
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(
+        "seed,mode,sigma,n_train,psnr,rss_mean,dof_exact_mean\n"
+        "0,ws,0.1,8,10.0,1.0,4.0\n"
+        "1,ws,0.1,8,12.0,3.0,6.0\n"
+        "0,ws,0.2,8,4.0,5.0,2.0\n"
+        "1,ws,0.2,8,8.0,7.0,nan\n"
+    )
+    figs = dict(zip(("psnr", "rss_mean", "dof_exact_mean"), report_plots(sweep_csv, tmp_path / "figs")))
+    values = {q: {row["sigma"]: float(row["value"]) for row in read_csv(path)} for q, path in figs.items()}
+    assert values == {
+        "psnr": {"0.1": 11.0, "0.2": 6.0},
+        "rss_mean": {"0.1": 2.0, "0.2": 6.0},
+        "dof_exact_mean": {"0.1": 5.0, "0.2": 2.0},
+    }
 
 
 def test_report_plots_errors(tmp_path):
@@ -261,7 +279,7 @@ def test_summary_counts_finite_values_and_averages_the_surrogate_only_where_vali
     assert summary["dof_surrogate"] == {"count": 1, "mean": 2.0, "std_error": None}
     assert summary["theorem1_bound"] == {"count": 1, "mean": 0.5, "std_error": None}
     assert summary["rss_mean"] == {"count": 0, "mean": "nan", "std_error": None}
-    assert summary["n_train"] == {"count": 3, "mean": 8.0, "std_error": 0.0}
+    assert "sigma" not in summary and "n_train" not in summary
 
 
 def test_resume_recomputes_cells_of_another_config(tmp_path, tiny_cfg):
@@ -537,6 +555,17 @@ def test_cli_evaluate_reports_sure_only_for_identity(tmp_path, tiny_cfg, capsys)
 def test_cli_verify_trials_on_command_without_trials_is_usage_error(capsys):
     assert cli.main(["verify", "lemma2", "--trials", "2"]) == 1
     assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["lemma3", "--trials", "0"], "--trials"),
+    (["theorem1", "--trials", "-3"], "--trials"),
+    (["theorem1", "--seed", "-1"], "--seed"),
+])
+def test_cli_verify_trials_below_one_or_negative_seed_is_usage_error(capsys, argv, flag):
+    assert cli.main(["verify", *argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and flag in out.err
 
 
 def test_cli_verify_forwards_seed_by_signature(monkeypatch):
