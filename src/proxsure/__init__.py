@@ -41,7 +41,6 @@ from .operators import (
     dft_operator,
     gram_matrix,
     identity_operator,
-    operator_matrix,
     step_matrices,
 )
 from .risk import (

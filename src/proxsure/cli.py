@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import data as datamod
-from .config import ExperimentConfig, build_dataset, build_operator, build_step, parse_config
-from .errors import ConfigError, ProxsureError
+from .config import ExperimentConfig, _number, build_dataset, build_operator, build_step, parse_config
+from .errors import ConfigError, DimensionMismatchError, ProxsureError
 from .jacobian import jacobian_report
 from .network import load_stack, save_stack, unroll_forward
 from .risk import SureReport, evaluate_set, mse_psnr
@@ -39,6 +39,17 @@ def _load_config(args) -> ExperimentConfig:
     if args.out is not None:
         cfg.out = args.out
     return cfg
+
+
+def _load_net(args):
+    """(config, stack, operator, step) of a command that runs a saved
+    stack; the stack's n must be the operator's."""
+    cfg = _load_config(args)
+    stack = load_stack(args.weights)
+    op = build_operator(cfg)
+    if stack.n != op.n:
+        raise DimensionMismatchError(f"n of {args.weights} against the config's n", op.n, stack.n)
+    return cfg, stack, op, build_step(cfg)
 
 
 def _cmd_generate_data(args) -> int:
@@ -71,10 +82,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    stack = load_stack(args.weights)
-    op = build_operator(cfg)
-    step = build_step(cfg)
+    cfg, stack, op, step = _load_net(args)
     sigma = cfg.sigma[0]
     test_set, y_test = cell_split(cfg, op, sigma, cfg.n_test, cfg.seeds[0], test=True)
     ev = evaluate_set(stack, op, step, y_test, sigma)
@@ -141,11 +149,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_jacobian_report(args) -> int:
-    cfg = _load_config(args)
-    stack = load_stack(args.weights)
-    op = build_operator(cfg)
-    step = build_step(cfg)
-    y = np.asarray(json.loads(args.input), dtype=np.float64)
+    try:
+        y = json.loads(args.input)
+    except json.JSONDecodeError:
+        y = None
+    if not isinstance(y, list) or not all(map(_number, y)):
+        print("usage error: jacobian-report input must be a JSON array of numbers", file=sys.stderr)
+        return 1
+    cfg, stack, op, step = _load_net(args)
     _, masks = unroll_forward(y, stack, op, step, record=True)
     print(jacobian_report(masks, stack, op, step, max_T=cfg.path_cap).to_json())
     return 0

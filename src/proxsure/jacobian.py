@@ -26,8 +26,8 @@ from .errors import (
     PathCapExceededError,
     UnsupportedArchitectureError,
 )
-from .network import ProximalStack, frozen_mask_pass
-from .operators import SensingOperator, StepParams, operator_matrix, step_matrices
+from .network import ProximalStack, unroll
+from .operators import SensingOperator, StepParams, step_matrices
 
 DEFAULT_PATH_CAP = 14
 
@@ -67,18 +67,23 @@ def accumulate_jacobian(
     op: SensingOperator,
     step: StepParams,
 ) -> np.ndarray:
-    """Assemble d x^T / d y (n-by-m) with the recorded masks frozen."""
+    """Assemble d x^T / d y (n-by-m) with the recorded masks frozen.
+
+    Frozen masks make the network linear in y, so `unroll` on the rows
+    of I_m returns the Jacobian's transpose row by row."""
     if len(masks) != stack.T:
         raise ValueError("trace does not match the stack's iteration count")
     for t in range(stack.T):
+        if len(masks[t]) != stack.K:
+            raise ValueError(
+                f"trace iteration {t} needs {stack.K} masks, one per layer, got {len(masks[t])}"
+            )
         for (W, _), mask in zip(stack.layer_weights(t), masks[t]):
-            if mask.shape[-1] != W.shape[0]:
-                raise DimensionMismatchError(
-                    "trace mask width", W.shape[0], mask.shape[-1]
-                )
-    G_x, G_y = step_matrices(op, step)
-    # d x^0 / d y = Phi^H, and the data step's y-term has Jacobian G_y
-    return frozen_mask_pass(masks, stack, G_x, G_y, operator_matrix(op).T, np.eye(op.m))
+            if np.ndim(mask) != 1:
+                raise ValueError(f"trace masks must be 1-D, got shape {np.shape(mask)}")
+            if len(mask) != W.shape[0]:
+                raise DimensionMismatchError("trace mask width", W.shape[0], len(mask))
+    return unroll(np.eye(op.m), stack, op, *step_matrices(op, step), masks=masks)[0].T
 
 
 def jacobian_trace_exact(J: np.ndarray) -> float:

@@ -6,10 +6,12 @@ acting as h -> (I - W^H D W) h, where the mask D = 1{W h > 0} so the
 stage matrix is the exact local Jacobian. ReLU at exactly zero counts
 as inactive.
 
-Every forward pass (training, evaluation, mask recording) runs the one
-kernel `unroll` on the data step's matrices (G_x, G_y), so they all see
-the same network bit for bit. `frozen_mask_pass` runs the network with
-recorded masks frozen: on y it replays x^T, on Phi^H the Jacobian.
+Every pass (training, evaluation, mask recording, replay and the
+Jacobian) runs the one kernel `unroll` on the data step's matrices
+(G_x, G_y), so they all see the same network bit for bit. Given
+recorded masks, `unroll` runs the network with them frozen, which makes
+it linear in y: on y it replays x^T, and on the rows of I_m it returns
+the transposed Jacobian (d x^T / d y)^T.
 """
 
 from __future__ import annotations
@@ -123,26 +125,31 @@ def random_stack(
     return ProximalStack(n=n, T=T, mode=mode, symmetric=symmetric, weights=tuple(its))
 
 
-def _unit(h, W, Wbar):
+def _unit(h, W, Wbar, D=None):
     """One residual unit; returns (h', D, a) with a = D * (Wbar h) the
-    ReLU output that the backward pass reuses.
+    ReLU output that the backward pass reuses. D is the given mask, or
+    1{Wbar h > 0} when None.
 
     a is written into the pre-activation buffer and h' into the a @ W
     product, so a call allocates only the arrays it returns; h is read,
     never written."""
     a = h @ (W if Wbar is None else Wbar).T
-    D = a > 0.0
+    if D is None:
+        D = a > 0.0
     np.multiply(a, D, out=a)
     p = a @ W
     return (np.subtract(h, p, out=p) if Wbar is None else np.add(h, p, out=p)), D, a
 
 
-def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool = False):
+def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool = False,
+           masks=None):
     """The forward kernel: x^0 = Phi^H y, then per iteration the data step
     s = G_x x + G_y y followed by the residual units.
 
     y is (m,) or a batch (B, m); (G_x, G_y) come from step_matrices,
     and (None, None) means the data step is the identity map s = x.
+    masks, when given, freezes unit k at iteration t to the mask
+    masks[t][k] (the layout unroll_forward records) for every row of y.
     Returns (x^T, record): record is None unless asked for, else one
     (x_in, units) tuple per iteration with units[k] = (h, D, a) the
     input, mask and ReLU output of unit k.
@@ -156,8 +163,8 @@ def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool 
             h = x @ G_x.T
             h += y @ G_y.T
         units = []
-        for W, Wbar in stack.layer_weights(t):
-            h_next, D, a = _unit(h, W, Wbar)
+        for k, (W, Wbar) in enumerate(stack.layer_weights(t)):
+            h_next, D, a = _unit(h, W, Wbar, None if masks is None else masks[t][k])
             if record:
                 units.append((h, D, a))
             h = h_next
@@ -179,7 +186,8 @@ def unroll_forward(
 
     Accepts a single (m,) vector or a batch (B, m); the masks are only
     recorded for single vectors, masks[t][k] the mask of unit k at
-    iteration t: the layout `frozen_mask_pass` takes.
+    iteration t: the layout `unroll(..., masks=...)` takes to replay
+    x^T or to give the Jacobian.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape[-1] != op.m:
@@ -190,29 +198,6 @@ def unroll_forward(
     if not record:
         return x, None
     return x, [[D for _, D, _ in units] for _, units in rec]
-
-
-def stage_matrix(W, Wbar, mask) -> np.ndarray:
-    """Pseudo-linear matrix of one unit with the mask frozen."""
-    d = mask.astype(np.float64)
-    if Wbar is None:
-        return np.eye(W.shape[1]) - W.T @ (d[:, None] * W)
-    return np.eye(W.shape[1]) + W.T @ (d[:, None] * Wbar)
-
-
-def frozen_mask_pass(masks, stack: ProximalStack, G_x, G_y, x, r) -> np.ndarray:
-    """The network with its masks frozen: per iteration
-    x <- stage_K ... stage_1 (G_x x + G_y r), on columns of x and r.
-
-    On (Phi^H y, y) it replays x^T; on (Phi^H, I) it is d x^T / d y.
-    (G_x, G_y) = (None, None) skips the data step, the identity map.
-    """
-    for t in range(stack.T):
-        if G_x is not None:
-            x = G_x @ x + G_y @ r
-        for (W, Wbar), mask in zip(stack.layer_weights(t), masks[t]):
-            x = stage_matrix(W, Wbar, mask) @ x
-    return x
 
 
 def forward_map(stack: ProximalStack, op: SensingOperator, step: StepParams):

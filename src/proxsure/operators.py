@@ -101,11 +101,6 @@ def apply_operator(op: SensingOperator, u, direction: str = "forward") -> np.nda
     return u @ (op.matrix.T if forward else op.matrix)
 
 
-def operator_matrix(op: SensingOperator) -> np.ndarray:
-    """Phi as an m-by-n matrix (the operator's own, read-only)."""
-    return op.matrix
-
-
 def gram_matrix(op: SensingOperator) -> np.ndarray:
     """The normal map Phi^H Phi as an n-by-n matrix."""
     return op.matrix.T @ op.matrix
@@ -135,13 +130,11 @@ def step_matrices(op: SensingOperator, step: StepParams):
     `ls` with alpha = 0, on any operator), which the kernels then skip."""
     if step.alpha == 0.0 and step.kind in ("gradient", "ls"):
         return None, None
-    n = op.n
-    eye = np.eye(n)
-    adj = operator_matrix(op).T  # n x m
-    if step.kind == "gradient":
-        G = gram_matrix(op)
-        return eye - step.alpha * G, step.alpha * adj
+    eye = np.eye(op.n)
+    adj = op.matrix.T  # n x m
     G = gram_matrix(op)
+    if step.kind == "gradient":
+        return eye - step.alpha * G, step.alpha * adj
     if step.kind == "ls":
         system = step.alpha * G + (1.0 - step.alpha) * eye
         if np.linalg.cond(system) > 1e12:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
 from .jacobian import jacobian_trace_exact, path_surrogates, theorem1_bound
-from .network import ProximalStack, frozen_mask_pass, unroll
-from .operators import SensingOperator, StepParams, apply_operator, operator_matrix, step_matrices
+from .network import ProximalStack, unroll
+from .operators import SensingOperator, StepParams, apply_operator, step_matrices
 
 
 def rss(y, xhat) -> float:
@@ -210,7 +210,7 @@ def evaluate_set(
 ) -> SetEvaluation:
     """Evaluate the network on the rows of Y (B, m; one (m,) input is
     one row) in one batched recorded forward; input i's DOF is the trace
-    of the frozen-mask pass on its recorded masks.
+    of its Jacobian: `unroll` on I_m with its recorded masks frozen.
 
     DOF needs a square Jacobian (m == n). SURE needs sigma and the
     identity operator: it is unbiased only for y = x + v. The path
@@ -227,9 +227,9 @@ def evaluate_set(
     if op.m != op.n:
         return ev
     masks = [[[D[i] for _, D, _ in units] for _, units in rec] for i in range(len(Y))]
-    x0, r = operator_matrix(op).T, np.eye(op.m)
+    eye = np.eye(op.m)
     ev.dof = np.array(
-        [jacobian_trace_exact(frozen_mask_pass(m, stack, G_x, G_y, x0, r)) for m in masks]
+        [jacobian_trace_exact(unroll(eye, stack, op, G_x, G_y, masks=m)[0]) for m in masks]
     )
     if sigma is not None and op.kind == "identity":
         ev.sure = sure(ev.rss, ev.dof, op.n, sigma)

@@ -353,8 +353,9 @@ def mask_fixed_point(
 
 
 def fixed_point_jacobian(W: np.ndarray, y, iterations: int) -> np.ndarray:
-    """Product of instantaneous stage matrices along the orbit from y:
-    the Jacobian of `iterations` shared symmetric units on the identity."""
+    """The Jacobian at y of `iterations` shared symmetric units on the
+    identity: the product of the stages (I - W^H D_t W) along the orbit
+    from y, taken as `unroll` on I_n with the orbit's masks frozen."""
     W = np.asarray(W, dtype=np.float64)
     stack = ProximalStack(n=W.shape[1], T=iterations, mode="ws", symmetric=True,
                           weights=(((W, None),),))

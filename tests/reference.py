@@ -2,8 +2,10 @@
 
 They sit beside the tests, not in the package: the data steps one
 operator application at a time (`apply_step`), which `step_matrices`
-must match; one residual unit with its input checks; the replay of a
-recorded forward pass from its masks through the frozen-mask stages;
+must match; one residual unit with its input checks; the network with
+its masks frozen as a product of n-by-n stage matrices, which replays a
+recorded forward pass (`replay_from_trace`) and gives the Jacobian
+(`jacobian_from_trace`) that `unroll` with frozen masks must match;
 a stack rebuilt from a weight list in flatten_weights order
 (`stack_with_weights`); the RSS identity of a linear map; the B matrix
 and the per-term deviation check of the path expansion; the
@@ -18,7 +20,7 @@ import numpy as np
 
 from proxsure.errors import DimensionMismatchError, SingularSystemError
 from proxsure.jacobian import PathTerm, theorem1_bound
-from proxsure.network import ProximalStack, _unit, frozen_mask_pass
+from proxsure.network import ProximalStack, _unit
 from proxsure.operators import (
     SensingOperator,
     StepParams,
@@ -46,6 +48,27 @@ def residual_unit_forward(h, W, Wbar=None):
     return h, D
 
 
+def stage_matrix(W, Wbar, mask) -> np.ndarray:
+    """Pseudo-linear matrix of one unit with the mask frozen:
+    I - W^H D W (symmetric) or I + W^H D Wbar."""
+    d = np.asarray(mask, dtype=np.float64)
+    if Wbar is None:
+        return np.eye(W.shape[1]) - W.T @ (d[:, None] * W)
+    return np.eye(W.shape[1]) + W.T @ (d[:, None] * Wbar)
+
+
+def frozen_mask_pass(masks, stack: ProximalStack, G_x, G_y, x, r) -> np.ndarray:
+    """The network with its masks frozen: per iteration
+    x <- stage_K ... stage_1 (G_x x + G_y r), on columns of x and r.
+    (G_x, G_y) = (None, None) skips the data step."""
+    for t in range(stack.T):
+        if G_x is not None:
+            x = G_x @ x + G_y @ r
+        for (W, Wbar), mask in zip(stack.layer_weights(t), masks[t], strict=True):
+            x = stage_matrix(W, Wbar, mask) @ x
+    return x
+
+
 def replay_from_trace(
     masks,
     stack: ProximalStack,
@@ -57,6 +80,12 @@ def replay_from_trace(
     y = np.asarray(y, dtype=np.float64)
     x0 = apply_operator(op, y, "adjoint")
     return frozen_mask_pass(masks, stack, *step_matrices(op, step), x0, y)
+
+
+def jacobian_from_trace(masks, stack: ProximalStack, op: SensingOperator, step: StepParams):
+    """d x^T / d y (n-by-m) via stage products: d x^0 / d y = Phi^H, and
+    the data step's y-term has Jacobian G_y."""
+    return frozen_mask_pass(masks, stack, *step_matrices(op, step), op.matrix.T, np.eye(op.m))
 
 
 def stack_with_weights(stack: ProximalStack, arrays) -> ProximalStack:
@@ -126,15 +155,6 @@ def apply_step(x, y, op: SensingOperator, step: StepParams):
     if step.kind == "ls":
         return least_squares_step(x, y, op, step.alpha, "mixing")
     return least_squares_step(x, y, op, step.alpha, "deblur")
-
-
-def adjoint_gap(op: SensingOperator, rng: np.random.Generator) -> float:
-    """|<Phi u, v> - <u, Phi^H v>| / (||u|| ||v||) for one random pair."""
-    u = rng.standard_normal(op.n)
-    v = rng.standard_normal(op.m)
-    lhs = float(apply_operator(op, u) @ v)
-    rhs = float(u @ apply_operator(op, v, "adjoint"))
-    return abs(lhs - rhs) / (np.linalg.norm(u) * np.linalg.norm(v))
 
 
 def circular_fft(kernel, n: int, u, direction: str = "forward"):

@@ -21,11 +21,18 @@ from proxsure.jacobian import (
     path_surrogates,
     path_table,
 )
-from proxsure.network import ProximalStack, random_stack, unroll_forward
-from proxsure.operators import StepParams, identity_operator
+from proxsure.network import ProximalStack, random_stack, unroll, unroll_forward
+from proxsure.operators import (
+    StepParams,
+    circular_operator,
+    dense_operator,
+    dft_operator,
+    identity_operator,
+    step_matrices,
+)
 from proxsure.risk import dof_finite_difference
 from proxsure.network import forward_map
-from reference import dof_surrogate, norm_matrix_b, path_deviation
+from reference import dof_surrogate, jacobian_from_trace, norm_matrix_b, path_deviation
 
 STEP0 = StepParams("gradient", 0.0)
 
@@ -56,6 +63,43 @@ def test_accumulate_worked_mask_example():
     J = accumulate_jacobian(tr, stack, identity_operator(4), STEP0)
     assert np.allclose(J, np.diag([0.0, 0.0, 1.0, 1.0]))
     assert jacobian_trace_exact(J) == 2.0
+
+
+@pytest.mark.parametrize("op", [
+    identity_operator(6),
+    dense_operator(np.random.default_rng(3).standard_normal((5, 6)) / np.sqrt(6)),
+    circular_operator([0.6, 0.25, 0.15], n=6),
+    dft_operator(6, [1]),
+], ids=lambda o: o.kind)
+@pytest.mark.parametrize("step", [
+    StepParams("gradient", 0.3), StepParams("ls", 0.5), StepParams("deblur", 0.7),
+], ids=lambda s: s.kind)
+@pytest.mark.parametrize("mode", ["ws", "wc"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "asym"])
+@pytest.mark.parametrize("hidden", [[5], [5, 3]], ids=["K1", "K2"])
+def test_accumulate_jacobian_matches_the_stage_products(op, step, mode, symmetric, hidden):
+    """The kernel with frozen masks against the product of n-by-n stage
+    matrices; on y itself it replays the recorded x^T byte for byte."""
+    stack = random_stack(6, hidden, T=3, mode=mode, symmetric=symmetric, seed=8)
+    y = np.random.default_rng(9).standard_normal(op.m)
+    x, masks = unroll_forward(y, stack, op, step)
+    assert unroll(y, stack, op, *step_matrices(op, step), masks=masks)[0].tobytes() == x.tobytes()
+    J = accumulate_jacobian(masks, stack, op, step)
+    want = jacobian_from_trace(masks, stack, op, step)
+    assert J.shape == (op.n, op.m)
+    assert np.linalg.norm(J - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_accumulate_jacobian_rejects_masks_that_do_not_fit_the_layers():
+    stack = random_stack(6, [4, 3], T=2, seed=1)
+    op = identity_operator(6)
+    _, masks = unroll_forward(np.ones(6), stack, op, STEP0)
+    with pytest.raises(ValueError, match="needs 2 masks, one per layer, got 1"):
+        accumulate_jacobian([units[:1] for units in masks], stack, op, STEP0)
+    with pytest.raises(DimensionMismatchError):
+        accumulate_jacobian([units[::-1] for units in masks], stack, op, STEP0)
+    with pytest.raises(ValueError, match="1-D"):
+        accumulate_jacobian([[m[None] for m in units] for units in masks], stack, op, STEP0)
 
 
 def test_trace_requires_square():

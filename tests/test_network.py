@@ -366,10 +366,10 @@ def _explicit_identity_step(op):
                                 circular_operator(np.array([0.6, 0.25, 0.15]), n=6)],
                          ids=lambda o: o.kind)
 def test_skipped_data_step_matches_explicit_identity_matrices(mode, symmetric, op):
-    """(None, None) skips the data step; the kernel, its record and the
-    frozen-mask pass come out byte for byte as with G_x = I, G_y = 0."""
-    from proxsure.network import frozen_mask_pass, unroll
-    from proxsure.operators import apply_operator, operator_matrix
+    """(None, None) skips the data step; the kernel, its record, and the
+    kernel with the masks frozen on y and on I_m come out byte for byte
+    as with G_x = I, G_y = 0."""
+    from proxsure.network import unroll
 
     stack = random_stack(6, [5, 3], T=3, mode=mode, symmetric=symmetric, seed=4)
     Y = np.random.default_rng(5).standard_normal((7, op.m))
@@ -382,8 +382,7 @@ def test_skipped_data_step_matches_explicit_identity_matrices(mode, symmetric, o
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
 
     masks = [[D[0] for _, D, _ in units] for _, units in got_rec]
-    for x0, r in [(apply_operator(op, Y[0], "adjoint"), Y[0]),
-                  (operator_matrix(op).T, np.eye(op.m))]:
-        got = frozen_mask_pass(masks, stack, None, None, x0, r)
-        want = frozen_mask_pass(masks, stack, *_explicit_identity_step(op), x0, r)
+    for r in (Y[0], np.eye(op.m)):
+        got = unroll(r, stack, op, None, None, masks=masks)[0]
+        want = unroll(r, stack, op, *_explicit_identity_step(op), masks=masks)[0]
         assert got.tobytes() == want.tobytes()

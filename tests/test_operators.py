@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,9 @@ from proxsure.operators import (
     dft_operator,
     gram_matrix,
     identity_operator,
-    operator_matrix,
     step_matrices,
 )
 from reference import (
-    adjoint_gap,
     apply_step,
     circular_fft,
     dft_fft,
@@ -25,14 +25,34 @@ from reference import (
 )
 
 
-def all_operators(n=8):
-    rng = np.random.default_rng(7)
+DENSE = np.random.default_rng(7).standard_normal((5, 8))
+KERNEL, OMEGA = [0.5, 0.3, 0.2], [1, 2]
+
+
+def defined_operators():
+    """(operator, formula) pairs: formula(u, direction) applies Phi or
+    Phi^H to the rows of u from what defines the operator, not from its
+    matrix: the identity, the given dense matrix, or the FFT."""
     return [
-        identity_operator(n),
-        dense_operator(rng.standard_normal((5, n))),
-        circular_operator(np.array([0.5, 0.3, 0.2]), n=n),
-        dft_operator(n, [1, 2]),
+        (identity_operator(8), lambda u, direction: u),
+        (dense_operator(DENSE),
+         lambda u, direction: np.einsum("ij,bj->bi", DENSE if direction == "forward" else DENSE.T, u)),
+        (circular_operator(KERNEL, n=8), partial(circular_fft, KERNEL, 8)),
+        (dft_operator(8, OMEGA), partial(dft_fft, 8, OMEGA)),
     ]
+
+
+DEFINED = [pytest.param(op, formula, id=op.kind) for op, formula in defined_operators()]
+
+
+def all_operators():
+    return [op for op, _ in defined_operators()]
+
+
+def apply_gap(op, formula, direction, rng):
+    """Largest |apply_operator - formula| over three random rows."""
+    U = rng.standard_normal((3, op.n if direction == "forward" else op.m))
+    return np.max(np.abs(apply_operator(op, U, direction) - formula(U, direction)))
 
 
 def test_identity_forward():
@@ -56,11 +76,14 @@ def test_delta_kernel_is_identity():
     assert np.allclose(apply_operator(op, u), u)
 
 
-@pytest.mark.parametrize("op", all_operators(), ids=lambda o: o.kind)
-def test_adjoint_consistency(op):
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        assert adjoint_gap(op, rng) <= 1e-10
+@pytest.mark.parametrize("op, formula", DEFINED)
+def test_forward_matches_the_defining_formula(op, formula):
+    assert apply_gap(op, formula, "forward", np.random.default_rng(1)) <= 1e-12
+
+
+@pytest.mark.parametrize("op, formula", DEFINED)
+def test_adjoint_matches_the_defining_formula(op, formula):
+    assert apply_gap(op, formula, "adjoint", np.random.default_rng(3)) <= 1e-12
 
 
 def test_dft_gram_is_projection():
@@ -149,23 +172,20 @@ def test_step_matrices_match_apply_step(op, step):
     assert np.allclose(G_x @ x + G_y @ y, apply_step(x, y, op, step), atol=1e-10)
 
 
-def test_operator_matrix_matches_apply():
-    for op in all_operators():
-        M = operator_matrix(op)
-        u = np.random.default_rng(1).standard_normal(op.n)
-        assert np.allclose(M @ u, apply_operator(op, u), atol=1e-12)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=2, max_value=12),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_circular_adjoint_property(n, seed):
+def test_drawn_operators_match_their_defining_formulas(n, seed):
+    """A drawn kernel of any length up to n, and a drawn frequency set."""
     rng = np.random.default_rng(seed)
-    kernel = rng.standard_normal(min(3, n))
-    op = circular_operator(kernel, n=n)
-    assert adjoint_gap(op, rng) <= 1e-10
+    kernel = rng.standard_normal(rng.integers(1, n + 1))
+    omega = rng.integers(0, n, size=rng.integers(1, 4))
+    for op, formula in [(circular_operator(kernel, n=n), partial(circular_fft, kernel, n)),
+                        (dft_operator(n, omega), partial(dft_fft, n, omega))]:
+        for direction in ("forward", "adjoint"):
+            assert apply_gap(op, formula, direction, rng) <= 1e-12
 
 
 def test_batched_apply_matches_loop():

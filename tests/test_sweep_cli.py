@@ -8,6 +8,7 @@ import pytest
 from proxsure import cli, sweep
 from proxsure.config import parse_config
 from proxsure.errors import ProxsureError
+from proxsure.network import random_stack, save_stack
 from proxsure.sweep import COLUMNS, report_plots, run_sweep
 
 TINY_CONFIG = """\
@@ -471,6 +472,28 @@ def test_cli_verify_failure_exit_code(monkeypatch):
 def test_cli_runtime_error_exit_code(tmp_path, tiny_cfg):
     missing = tmp_path / "nope.bin"
     assert cli.main(["evaluate", str(missing), "--config", str(tiny_cfg)]) == 1
+
+
+@pytest.mark.parametrize("text", ["[1,2", '{"y": [1]}', "[[1, 2]]", '[1, "2"]', "[true]", "3"])
+def test_cli_jacobian_report_input_that_is_not_a_list_of_numbers_is_usage_error(
+    tmp_path, tiny_cfg, capsys, text
+):
+    weights = tmp_path / "w.bin"
+    save_stack(random_stack(8, [4], T=2), weights)
+    assert cli.main(["jacobian-report", str(weights), text, "--config", str(tiny_cfg)]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "jacobian-report"])
+def test_cli_weights_of_another_n_is_a_runtime_error_naming_both(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY_CONFIG.replace("n = 8", "n = 6"))
+    weights = tmp_path / "w.bin"
+    save_stack(random_stack(8, [4], T=2), weights)
+    argv = [command, str(weights)] + (["[0, 0, 0, 0, 0, 0]"] if command == "jacobian-report" else [])
+    assert cli.main(argv + ["--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "the config's n: expected length 6, got 8" in err and "matmul" not in err
 
 
 def test_cli_spectrum(tmp_path, capsys):
