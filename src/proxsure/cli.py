@@ -22,7 +22,7 @@ from .jacobian import jacobian_report
 from .network import load_stack, save_stack, unroll_forward
 from .risk import SureReport, evaluate_set, mse_psnr
 from .spectrum import spectrum, spectrum_csv
-from .sweep import cell_split, mc_dofs, report_plots, run_sweep, train_cell
+from .sweep import cell_split, report_plots, run_sweep, train_cell
 from .verify import COMMANDS as VERIFY_COMMANDS
 
 log = logging.getLogger("proxsure")
@@ -83,10 +83,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg, stack, op, step = _load_net(args)
-    sigma = cfg.sigma[0]
+    sigma, probes = cfg.sigma[0], cfg.mc_probes()
     test_set, y_test = cell_split(cfg, op, sigma, cfg.n_test, cfg.seeds[0], test=True)
-    ev = evaluate_set(stack, op, step, y_test, sigma)
-    mc = mc_dofs(cfg, stack, op, step, y_test, cfg.seeds[0])
+    ev = evaluate_set(stack, op, step, y_test, sigma, mc_probes=probes, mc_seed=cfg.seeds[0])
     reports = []
     for i, (xhat, x) in enumerate(zip(ev.xhat, test_set.samples)):
         report = SureReport(n=op.n, sigma=sigma, rss=float(ev.rss[i]),
@@ -94,9 +93,9 @@ def _cmd_evaluate(args) -> int:
                             primary_dof=None if ev.dof is None else "exact")
         if ev.dof is not None:
             report.dof_exact = float(ev.dof[i])
-        if mc is not None:
-            report.dof_mc, report.mc_std_error = mc[i]
-            report.mc_probes = cfg.dof_probes
+        if ev.dof_mc is not None:
+            report.dof_mc, report.mc_std_error = float(ev.dof_mc[i]), float(ev.mc_std_error[i])
+            report.mc_probes = probes
         if ev.sure is not None:
             report.sure = float(ev.sure[i])
         report.mse_vs_truth, report.psnr = mse_psnr(xhat, x)
@@ -104,15 +103,11 @@ def _cmd_evaluate(args) -> int:
     mean = {
         "n_test": len(reports),
         "sigma": sigma,
-        "rss_mean": float(np.mean(ev.rss)),
-        "sure_mean": None if ev.sure is None else float(np.mean(ev.sure)),
+        "sure_mean": None,  # null unless evaluate_set computed SURE
+        **ev.columns(),
         "mse_mean": float(np.mean([r.mse_vs_truth for r in reports])),
         "psnr_mean": float(np.mean([r.psnr for r in reports])),
     }
-    if ev.dof is not None:
-        mean["dof_exact_mean"] = float(np.mean(ev.dof))
-    if mc is not None:
-        mean["dof_mc_mean"] = float(np.mean([estimate for estimate, _ in mc]))
     print(json.dumps(mean, sort_keys=True))
     if args.per_input:
         for r in reports:

@@ -56,6 +56,10 @@ class ExperimentConfig:
     def modes(self) -> list[str]:
         return list(self.model_mode)
 
+    def mc_probes(self) -> int | None:
+        """Monte-Carlo DOF probes per input, or None unless `dof.estimator` is "mc"."""
+        return self.dof_probes if self.dof_estimator == "mc" else None
+
 
 def _number(x, kinds=(int, float)) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)

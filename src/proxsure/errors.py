@@ -19,7 +19,8 @@ class SingularSystemError(ProxsureError):
 
 
 class UnsupportedArchitectureError(ProxsureError):
-    """Operation restricted to single-layer symmetric recurrent stacks."""
+    """Operation restricted to single-layer symmetric recurrent stacks
+    on the identity operator with the data step skipped."""
 
 
 class PathCapExceededError(ProxsureError):

@@ -392,7 +392,14 @@ def jacobian_report(
 ) -> JacobianReport:
     """Full single-input analysis: the exact Jacobian, the path expansion,
     and its surrogate n + sum_I (-1)^|I| p_I summed over the terms in
-    order, with Theorem 1's eps and bound."""
+    order, with Theorem 1's eps and bound. The expansion's product
+    prod_t (I - W^T D_t W) is the Jacobian only on the identity operator
+    with the data step skipped; other nets raise
+    UnsupportedArchitectureError."""
+    if op.kind != "identity" or not step.skipped:
+        raise UnsupportedArchitectureError(
+            "path expansion needs the identity operator with the data step skipped"
+        )
     J = accumulate_jacobian(masks, stack, op, step)
     terms = path_expansion(masks, stack, max_T=max_T)
     rho = [t.sparsities[0] for t in terms[: stack.T]]  # the singletons (1,) .. (T,)

@@ -34,8 +34,8 @@ class SensingOperator:
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         A = np.array(self.matrix, dtype=np.float64)
-        if A.ndim != 2 or A.shape[1] == 0:
-            raise ValueError("operator needs an m-by-n matrix with n >= 1")
+        if A.ndim != 2 or 0 in A.shape:
+            raise ValueError("operator needs an m-by-n matrix with m, n >= 1")
         A.flags.writeable = False
         object.__setattr__(self, "matrix", A)
 
@@ -60,8 +60,8 @@ def circular_operator(kernel, n: int) -> SensingOperator:
     """Circular convolution of a length-n signal with a 1-D kernel:
     Phi[i, j] = kernel[(i - j) mod n], zero-padded to length n."""
     k = np.asarray(kernel, dtype=np.float64)
-    if k.ndim != 1:
-        raise ValueError("kernel must be 1-D")
+    if k.ndim != 1 or len(k) == 0:
+        raise ValueError("kernel must be 1-D and non-empty")
     if len(k) > n:
         raise ValueError("kernel longer than the signal")
     pad = np.zeros(n)
@@ -123,12 +123,17 @@ class StepParams:
         if self.kind == "deblur" and self.alpha <= 0.0:
             raise ValueError("deblur least-squares step needs alpha > 0")
 
+    @property
+    def skipped(self) -> bool:
+        """The step is the identity map s = x (`gradient` or `ls` with
+        alpha = 0, on any operator), which the kernels skip."""
+        return self.alpha == 0.0 and self.kind in ("gradient", "ls")
+
 
 def step_matrices(op: SensingOperator, step: StepParams):
     """Jacobians (G_x, G_y) of the data-consistency step s = G_x x + G_y y,
-    or (None, None) when the step is the identity map s = x (`gradient` or
-    `ls` with alpha = 0, on any operator), which the kernels then skip."""
-    if step.alpha == 0.0 and step.kind in ("gradient", "ls"):
+    or (None, None) when the step is skipped (see StepParams.skipped)."""
+    if step.skipped:
         return None, None
     eye = np.eye(op.n)
     adj = op.matrix.T  # n x m

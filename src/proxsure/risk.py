@@ -191,6 +191,8 @@ class SetEvaluation:
     xhat: np.ndarray  # (B, n)
     rss: np.ndarray  # (B,), against y, or Phi^H y when m != n
     dof: np.ndarray | None = None  # exact Jacobian traces
+    dof_mc: np.ndarray | None = None  # Monte-Carlo DOF estimates
+    mc_std_error: np.ndarray | None = None  # their standard errors
     sure: np.ndarray | None = None
     surrogate: np.ndarray | None = None  # path-sparsity sums
     mu: float = math.nan
@@ -198,6 +200,16 @@ class SetEvaluation:
     epsilon: float = math.nan  # mu * rho_max^(3/2)
     bound: float = math.nan  # Theorem 1's bound at epsilon
     eps_valid: bool | None = None  # epsilon < 1: Theorem 1's hypothesis holds
+
+    def columns(self) -> dict:
+        """The set-level values that were computed, named as sweep columns."""
+        means = {"rss_mean": self.rss, "dof_exact_mean": self.dof, "dof_mc_mean": self.dof_mc,
+                 "sure_mean": self.sure, "dof_surrogate": self.surrogate}
+        out = {name: float(np.mean(v)) for name, v in means.items() if v is not None}
+        if self.surrogate is not None:
+            out.update(mu_w=self.mu, rho_max=self.rho_max, epsilon=self.epsilon,
+                       theorem1_bound=self.bound, eps_valid=self.eps_valid)
+        return out
 
 
 def evaluate_set(
@@ -207,15 +219,20 @@ def evaluate_set(
     Y,
     sigma: float | None = None,
     max_T: int | None = None,
+    mc_probes: int | None = None,
+    mc_seed: int = 0,
 ) -> SetEvaluation:
     """Evaluate the network on the rows of Y (B, m; one (m,) input is
     one row) in one batched recorded forward; input i's DOF is the trace
     of its Jacobian: `unroll` on I_m with its recorded masks frozen.
 
-    DOF needs a square Jacobian (m == n). SURE needs sigma and the
-    identity operator: it is unbiased only for y = x + v. The path
-    surrogate needs max_T and a path-analysable stack: K = 1, symmetric,
-    shared weights (ws) and T <= max_T, besides a square Jacobian.
+    DOF needs a square Jacobian (m == n), and so does the Monte-Carlo DOF
+    with mc_probes probes per input, input i's drawn from
+    default_rng([mc_seed, i]). SURE needs sigma and the identity
+    operator: it is unbiased only for y = x + v. The path surrogate needs
+    max_T and a net whose Jacobian is the expansion's prod_t (I - W^T D_t W):
+    the identity operator with the data step skipped, and a symmetric
+    single-layer ws stack with T <= max_T.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if Y.ndim != 2 or Y.shape[1] != op.m:
@@ -231,9 +248,14 @@ def evaluate_set(
     ev.dof = np.array(
         [jacobian_trace_exact(unroll(eye, stack, op, G_x, G_y, masks=m)[0]) for m in masks]
     )
+    if mc_probes:
+        h = lambda v: unroll(v, stack, op, G_x, G_y)[0]
+        mc = [dof_monte_carlo(h, y, mc_probes, seed=[mc_seed, i]) for i, y in enumerate(Y)]
+        ev.dof_mc, ev.mc_std_error = np.array(mc).T
     if sigma is not None and op.kind == "identity":
         ev.sure = sure(ev.rss, ev.dof, op.n, sigma)
-    if max_T is None or stack.K != 1 or not stack.symmetric or stack.mode != "ws" or stack.T > max_T:
+    if (max_T is None or op.kind != "identity" or not step.skipped or stack.K != 1
+            or not stack.symmetric or stack.mode != "ws" or stack.T > max_T):
         return ev
     d = np.stack([units[0][1] for _, units in rec], axis=1)  # (B, T, l) masks
     ev.surrogate, rho, ev.mu = path_surrogates(stack.weights[0][0][0], d, stack.n)

@@ -26,9 +26,8 @@ import numpy as np
 from . import data as datamod
 from .config import ExperimentConfig, build_dataset, build_operator, build_step, config_to_text
 from .errors import ProxsureError, TrainingFailureError
-from .network import forward_map
 from .operators import apply_operator
-from .risk import dof_monte_carlo, evaluate_set, mse_psnr
+from .risk import evaluate_set, mse_psnr
 from .train import train
 
 COLUMNS = [
@@ -66,9 +65,9 @@ COLUMN_DOCS = {
     "mu_w": "largest off-diagonal inner product of the shared W",
     "rho_max": "largest mean per-iteration activation count",
     "epsilon": "mu_w * rho_max^(3/2)",
-    "dof_surrogate": "mean alternating path-sparsity sum (its summary mean and count cover only seeds with eps_valid true)",
-    "theorem1_bound": "(1 + epsilon)^T - 1 - epsilon T (its summary mean and count cover only seeds with eps_valid true)",
-    "eps_valid": "True when epsilon < 1, the hypothesis of Theorem 1: only there do dof_surrogate and theorem1_bound carry its guarantee (nan with no surrogate; its summary mean is the share of valid seeds)",
+    "dof_surrogate": "mean alternating path-sparsity sum; nan unless the path expansion is the network's Jacobian: the identity operator with the data step skipped (alpha = 0, gradient or ls) and a symmetric single-layer ws stack with T <= path_cap (its summary mean and count cover only seeds with eps_valid true)",
+    "theorem1_bound": "(1 + epsilon)^T - 1 - epsilon T; nan where dof_surrogate is (its summary mean and count cover only seeds with eps_valid true)",
+    "eps_valid": "True when epsilon < 1, the hypothesis of Theorem 1: only there do dof_surrogate and theorem1_bound carry its guarantee (nan where dof_surrogate is; its summary mean is the share of valid seeds)",
 }
 
 
@@ -126,17 +125,6 @@ def train_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, see
     return result, op, step, test_set, m_test
 
 
-def mc_dofs(cfg: ExperimentConfig, stack, op, step, Y, seed: int):
-    """Monte-Carlo DOF (estimate, standard error) of the network at each
-    row of Y, or None unless `dof.estimator` is "mc" and the Jacobian is
-    square (m == n). Input i's `dof.probes` probes are one draw from
-    default_rng([seed, i])."""
-    if cfg.dof_estimator != "mc" or op.m != op.n:
-        return None
-    h = forward_map(stack, op, step)
-    return [dof_monte_carlo(h, y, cfg.dof_probes, seed=[seed, i]) for i, y in enumerate(Y)]
-
-
 def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed: int) -> dict:
     """Train and evaluate one sweep cell; returns a SweepRow dict."""
     row = {c: math.nan for c in COLUMNS}
@@ -147,20 +135,10 @@ def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed:
         row["status"] = "training-failure"
         return row
 
-    ev = evaluate_set(result.stack, op, step, m_test, sigma, max_T=cfg.path_cap)
+    ev = evaluate_set(result.stack, op, step, m_test, sigma, max_T=cfg.path_cap,
+                      mc_probes=cfg.mc_probes(), mc_seed=seed)
     row["test_mse"], row["psnr"] = mse_psnr(ev.xhat, test_set.samples)
-    row["rss_mean"] = float(ev.rss.mean())
-    if ev.dof is not None:
-        row["dof_exact_mean"] = float(np.mean(ev.dof))
-    if ev.sure is not None:
-        row["sure_mean"] = float(np.mean(ev.sure))
-    mc = mc_dofs(cfg, result.stack, op, step, m_test, seed)
-    if mc is not None:
-        row["dof_mc_mean"] = float(np.mean([estimate for estimate, _ in mc]))
-    if ev.surrogate is not None:
-        row.update(mu_w=ev.mu, rho_max=ev.rho_max, epsilon=ev.epsilon,
-                   dof_surrogate=float(np.mean(ev.surrogate)), theorem1_bound=ev.bound,
-                   eps_valid=ev.eps_valid)
+    row.update(ev.columns())
     return row
 
 

@@ -47,6 +47,11 @@ class VerifyReport:
     passed: bool
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # -inf: no trial reached a comparison, so nothing was checked
+        if self.max_violation == -math.inf:
+            self.max_violation, self.passed = 1.0, False
+
     def to_json(self) -> str:
         payload = {
             "command": self.command,
@@ -97,7 +102,7 @@ def verify_jacobian(trials: int = 20, n: int = 16, seed: int = 0) -> VerifyRepor
         "gradient": StepParams("gradient", 0.1),
         "ls": StepParams("ls", 0.5),
     }
-    max_violation = 0.0
+    max_violation = -math.inf
     config_id = 0
     for op in ops.values():
         for step in steps.values():
@@ -125,7 +130,7 @@ def verify_theorem1(trials: int = 20, n: int = 16, max_T: int = 10, seed: int = 
     op = identity_operator(n)
     step = StepParams("gradient", 0.0)
     rng = np.random.default_rng(seed)
-    max_violation = 0.0
+    max_violation = -math.inf
     for trial in range(trials):
         T = 1 + trial % max_T
         ell = int(rng.integers(2, n + 1))
@@ -179,8 +184,6 @@ def verify_theorem1_trained(
                 continue
             checked += 1
             max_violation = max(max_violation, deviation - ev.bound)
-    if checked == 0:
-        max_violation = 0.0
     return VerifyReport(
         "theorem1-trained",
         checked + exempt,

@@ -51,6 +51,24 @@ def test_cross_validation():
         parse_config("operator.kind = circular\n")
 
 
+@pytest.mark.parametrize("text, field, message", [
+    ("n 8\n", "n 8", "expected 'key = value'"),
+    ("n = true\n", "n", "expected an integer"),
+    ('data.kind = "sparse"\ndata.dict_size = 4\ndata.sparsity = 5\n', "data.sparsity",
+     "exceeds data.dict_size"),
+    ('step.kind = "deblur"\nstep.alpha = 0\n', "step.alpha", "alpha > 0"),
+    ('step.kind = "deblur"\nstep.alpha = -0.5\n', "step.alpha", "alpha > 0"),
+    ('operator.kind = "dft"\n', "operator.omega", "needs a frequency set"),
+    ('operator.kind = "dense"\n', "operator.matrix", "needs a matrix"),
+], ids=["no-equals", "bool-as-int", "sparsity", "deblur-zero", "deblur-negative", "dft-no-omega",
+        "dense-no-matrix"])
+def test_config_errors_name_their_key(text, field, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.field == field
+    assert f"'{field}'" in str(err.value) and message in str(err.value)
+
+
 def test_scalar_promoted_to_list():
     cfg = parse_config('sigma = 0.25\nmodel.mode = "wc"\n')
     assert cfg.sigma == [0.25]

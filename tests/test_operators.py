@@ -242,3 +242,16 @@ def test_operator_matrix_is_read_only_and_owned():
         assert not op.matrix.flags.writeable
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: circular_operator([], 8),
+    lambda: dft_operator(8, []),
+    lambda: dense_operator(np.zeros((0, 8))),
+    lambda: dense_operator(np.zeros((3, 0))),
+], ids=["circular-empty-kernel", "dft-no-frequency", "dense-0-rows", "dense-0-columns"])
+def test_an_operator_with_nothing_to_measure_is_an_error(build):
+    # an empty kernel would build the all-zero operator, and no frequency
+    # or no row a 0-row operator that maps a length-0 y to zeros
+    with pytest.raises(ValueError):
+        build()

@@ -175,7 +175,9 @@ def test_evaluate_set_matches_per_input_loop(op, step, hidden, mode, symmetric):
     ev = evaluate_set(stack, op, step, Y, sigma=0.1, max_T=4)
     assert np.array_equal(ev.xhat, forward_map(stack, op, step)(Y))
     assert np.array_equal(ev.rss, np.sum((ev.xhat - Y) ** 2, axis=1))
-    analysable = mode == "ws" and symmetric and len(hidden) == 1
+    # the path expansion is the Jacobian only for the identity operator
+    # with the data step skipped
+    analysable = op.kind == "identity" and mode == "ws" and symmetric and len(hidden) == 1
     assert (ev.surrogate is not None) == analysable
     mu = incoherence(stack.weights[0][0][0])
     for i, y in enumerate(Y):
@@ -199,6 +201,44 @@ def test_evaluate_set_without_square_jacobian_has_no_dof_or_sure():
     back = apply_operator(op, Y, "adjoint")
     assert np.array_equal(ev.rss, np.sum((ev.xhat - back) ** 2, axis=1))
     assert ev.dof is None and ev.surrogate is None and ev.sure is None
+
+
+@pytest.mark.parametrize("op, step", [
+    *EVAL_CASES,
+    (dft_operator(EVAL_N, [1]), StepParams("gradient", 0.1)),  # m = 4 != n
+], ids=["identity", "circular-ls", "dft-gradient", "dft-m<n"])
+def test_evaluate_set_monte_carlo_dof_is_the_probe_estimator_of_each_input(op, step):
+    stack = random_stack(EVAL_N, [6], T=3, seed=13)
+    Y = np.random.default_rng(14).standard_normal((5, op.m))
+    ev = evaluate_set(stack, op, step, Y, sigma=0.1, mc_probes=16, mc_seed=7)
+    if op.m != op.n:
+        assert ev.dof_mc is None and ev.mc_std_error is None
+        assert "dof_mc_mean" not in ev.columns()
+        return
+    h = forward_map(stack, op, step)
+    want = [dof_monte_carlo(h, y, 16, seed=[7, i]) for i, y in enumerate(Y)]
+    assert repr(list(zip(ev.dof_mc.tolist(), ev.mc_std_error.tolist()))) == repr(want)
+    assert ev.columns()["dof_mc_mean"] == float(np.mean([estimate for estimate, _ in want]))
+    # the exact DOF and the outputs do not depend on the probes
+    plain = evaluate_set(stack, op, step, Y, sigma=0.1)
+    assert plain.dof_mc is None and plain.mc_std_error is None
+    assert np.array_equal(plain.dof, ev.dof) and np.array_equal(plain.xhat, ev.xhat)
+
+
+def test_set_evaluation_columns_name_what_was_computed():
+    op = identity_operator(EVAL_N)
+    stack = random_stack(EVAL_N, [6], T=3, seed=2)
+    Y = np.random.default_rng(6).standard_normal((4, EVAL_N))
+    assert set(evaluate_set(stack, op, StepParams(), Y).columns()) == {"rss_mean", "dof_exact_mean"}
+    ev = evaluate_set(stack, op, StepParams(), Y, sigma=0.2, max_T=3, mc_probes=4)
+    cols = ev.columns()
+    assert cols == {
+        "rss_mean": float(np.mean(ev.rss)), "dof_exact_mean": float(np.mean(ev.dof)),
+        "dof_mc_mean": float(np.mean(ev.dof_mc)), "sure_mean": float(np.mean(ev.sure)),
+        "mu_w": ev.mu, "rho_max": ev.rho_max, "epsilon": ev.epsilon,
+        "dof_surrogate": float(np.mean(ev.surrogate)), "theorem1_bound": ev.bound,
+        "eps_valid": ev.eps_valid,
+    }
 
 
 def test_evaluate_set_path_cap_and_sure():

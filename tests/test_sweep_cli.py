@@ -515,7 +515,9 @@ DFT_CONFIG = TINY_CONFIG + 'operator.kind = "dft"\noperator.omega = [1]\n'
 CIRCULAR_CONFIG = TINY_CONFIG + 'operator.kind = "circular"\noperator.kernel = [0.6, 0.25, 0.15]\n'
 
 
-def test_run_cell_builds_step_matrices_once_to_train_and_once_to_evaluate(monkeypatch):
+@pytest.mark.parametrize("estimator", ["exact", "mc"])
+def test_run_cell_builds_step_matrices_once_to_train_and_once_to_evaluate(monkeypatch, estimator):
+    # the Monte-Carlo DOF probes the network with the evaluation's matrices
     import sys
 
     from proxsure import operators
@@ -530,8 +532,10 @@ def test_run_cell_builds_step_matrices_once_to_train_and_once_to_evaluate(monkey
     for name, module in list(sys.modules.items()):
         if name.startswith("proxsure") and getattr(module, "step_matrices", None) is original:
             monkeypatch.setattr(module, "step_matrices", counting)
-    row = sweep.run_cell(parse_config(TINY_CONFIG), "ws", 0.2, 8, 0)
+    cfg = parse_config(TINY_CONFIG + f'dof.estimator = "{estimator}"\ndof.probes = 4\n')
+    row = sweep.run_cell(cfg, "ws", 0.2, 8, 0)
     assert row["status"] == "ok"
+    assert math.isfinite(row["dof_mc_mean"]) == (estimator == "mc")
     assert len(calls) == 2
 
 
@@ -541,6 +545,20 @@ def test_circular_sweep_reports_dof_but_no_sure(tmp_path):
     assert math.isnan(float(rows[0]["sure_mean"]))
     assert math.isfinite(float(rows[0]["dof_exact_mean"]))
     assert math.isfinite(float(rows[0]["rss_mean"]))
+    # the path expansion is not this network's Jacobian: no surrogate
+    for col in ("mu_w", "rho_max", "epsilon", "dof_surrogate", "theorem1_bound", "eps_valid"):
+        assert rows[0][col] == "nan"
+
+
+@pytest.mark.parametrize("extra", [
+    'data.kind = "sparse"\ndata.dict_size = 16\ndata.sparsity = 2\n',
+    'operator.kind = "dense"\noperator.matrix = ' + json.dumps(
+        [[1.0 if i == j else 0.1 for j in range(8)] for i in range(6)]) + "\n",
+], ids=["sparse-data", "dense-operator"])
+def test_one_cell_sweep_on_sparse_data_and_a_dense_operator(tmp_path, extra):
+    (row,) = read_csv(run_sweep(parse_config(TINY_CONFIG + extra), tmp_path / "out"))
+    assert row["status"] == "ok"
+    assert math.isfinite(float(row["test_mse"])) and math.isfinite(float(row["rss_mean"]))
 
 
 def test_cli_train_then_evaluate_with_m_not_n(tmp_path, capsys):
@@ -609,13 +627,15 @@ def test_run_cell_seeds_each_inputs_probes_by_cell_seed_and_index(monkeypatch):
     # an XOR-combined seed such as seed ^ (i << 16) would give cell seed
     # 65536 input 0 the probes of cell seed 0 input 1
     seeds = []
-    original = sweep.dof_monte_carlo
+    from proxsure import risk
+
+    original = risk.dof_monte_carlo
 
     def recording(h, y, K, **kwargs):
         seeds.append(kwargs["seed"])
         return original(h, y, K, **kwargs)
 
-    monkeypatch.setattr(sweep, "dof_monte_carlo", recording)
+    monkeypatch.setattr(risk, "dof_monte_carlo", recording)
     cfg = parse_config(TINY_CONFIG + 'dof.estimator = "mc"\ndof.probes = 4\n')
     for seed in (0, 65536):
         row = sweep.run_cell(cfg, "ws", 0.2, 8, seed)
@@ -726,6 +746,21 @@ def test_cli_jacobian_report_on_wc_net_is_runtime_error(tmp_path, capsys):
     weights = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["weights"]
     assert cli.main(["jacobian-report", weights, json.dumps([0.1] * 8), "--config", str(cfg)]) == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    CIRCULAR_CONFIG,
+    TINY_CONFIG + 'step.alpha = 0.5\n',
+], ids=["circular", "identity-gradient-step"])
+def test_cli_jacobian_report_where_paths_are_not_the_jacobian_is_runtime_error(tmp_path, capsys, text):
+    # the expansion's prod_t (I - W^T D_t W) is the Jacobian only on the
+    # identity operator with the data step skipped
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    weights = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["weights"]
+    assert cli.main(["jacobian-report", weights, json.dumps([0.1] * 8), "--config", str(cfg)]) == 3
+    assert "identity operator" in capsys.readouterr().err
 
 
 def test_cli_verify_out_writes_the_printed_report(tmp_path, capsys):

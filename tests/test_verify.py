@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -6,7 +7,13 @@ import pytest
 
 from proxsure.jacobian import path_expansion
 from proxsure.network import ProximalStack
-from proxsure.verify import VerifyReport, brute_force_subset_objective, verify_lemma3, verify_lemma4
+from proxsure.verify import (
+    VerifyReport,
+    brute_force_subset_objective,
+    verify_lemma3,
+    verify_lemma4,
+    verify_theorem1_trained,
+)
 
 
 def _reference_subset_objective(C, sigma2):
@@ -42,6 +49,25 @@ def test_lemma3_checks_every_converged_trial_tightly():
     assert report.details["converged"] > 0
     assert report.details["strictly_exact"] == report.details["converged"]
     assert report.passed
+
+
+def _reject_non_finite(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+@pytest.mark.parametrize("check, counter", [
+    # one iteration converges no trial, so no projector or trace is compared
+    (lambda: verify_lemma3(trials=3, max_iter=1), "converged"),
+    # l = 8 rows in n = 8 dimensions: every trial has epsilon >= 1 and is exempt
+    (lambda: verify_theorem1_trained(n=8, ell=8, rank=2, n_train=32, n_eval=8,
+                                     seeds=(0,), T_values=(2,)), "checked"),
+], ids=["lemma3", "theorem1-trained"])
+def test_a_check_that_compared_nothing_fails_with_a_finite_violation(check, counter):
+    report = check()
+    payload = json.loads(report.to_json(), parse_constant=_reject_non_finite)
+    assert payload[counter] == 0
+    assert payload["pass"] is False and payload["max_violation"] == 1.0
+    assert not report.passed
 
 
 def _reference_lemma4(trials, n=16, ell=8, T=4, max_order=4, n_inputs=64, seed=0):
