@@ -85,7 +85,8 @@ def _cmd_evaluate(args) -> int:
     cfg, stack, op, step = _load_net(args)
     sigma, probes = cfg.sigma[0], cfg.mc_probes()
     test_set, y_test = cell_split(cfg, op, sigma, cfg.n_test, cfg.seeds[0], test=True)
-    ev = evaluate_set(stack, op, step, y_test, sigma, mc_probes=probes, mc_seed=cfg.seeds[0])
+    ev = evaluate_set(stack, op, step, y_test, sigma, max_T=cfg.path_cap,
+                      mc_probes=probes, mc_seed=cfg.seeds[0])
     reports = []
     for i, (xhat, x) in enumerate(zip(ev.xhat, test_set.samples)):
         report = SureReport(n=op.n, sigma=sigma, rss=float(ev.rss[i]),

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb
+from math import comb, fsum
 from typing import NamedTuple
 
 import numpy as np
@@ -44,9 +44,9 @@ class PathTerm(NamedTuple):
 
 class PathExpansion(list):
     """The PathTerms of one input in combinations order, with the
-    incoherence `mu` of the W they were expanded on."""
+    one-input PathTable they were read from."""
 
-    mu: float
+    table: PathTable
 
 
 class PathTable(NamedTuple):
@@ -280,24 +280,45 @@ def path_table(W, masks) -> PathTable:
     return PathTable(traces.take(order, axis=0).T, p, bound, sparsity, mu)
 
 
+def alternating_sums(p, n: int) -> np.ndarray:
+    """The path surrogates n + sum_I (-1)^|I| p_I of the rows of p
+    (B, 2^T - 1), each summed over the subsets in combinations order from
+    left to right."""
+    levels = _subset_levels(p.shape[1].bit_length())  # 2^T - 1 has T bits
+    signs = np.concatenate([np.full(len(level.idx), (-1.0) ** j) for j, level in enumerate(levels, 1)])
+    return float(n) + np.add.accumulate(p * signs, axis=1)[:, -1]
+
+
 def path_surrogates(W, masks, n: int):
-    """The alternating path-sparsity sums n + sum_I (-1)^|I| p_I of B
-    inputs, from the sparsity half of `path_table` alone (no l x l
-    product). Each sum runs over the subsets in combinations order from
-    left to right, as `jacobian_report` sums a term list, and the p_I are
-    held for as many inputs at once as fit in the budget. Returns
-    (surrogates (B,), sparsities (B, T), mu).
+    """The `alternating_sums` of B inputs, from the sparsity half of
+    `path_table` alone (no l x l product), with the p_I held for as many
+    inputs at once as fit in the budget. Returns (surrogates (B,),
+    sparsities (B, T), mu).
     """
     d, _, b, mu, sparsity, hop = _path_setup(W, masks)
     B, T, ell = d.shape
-    signs = np.concatenate([np.full(len(level.idx), (-1.0) ** j)
-                            for j, level in enumerate(_subset_levels(T), 1)])
     out = np.empty(B)
     for rows in _chunks(B, _sparsity_bytes(T, ell)):
-        p, bound = np.empty((2, len(d[rows]), len(signs)))
+        p, bound = np.empty((2, len(d[rows]), (1 << T) - 1))
         _sparsity_half(d[rows], b, hop[rows], p, bound)
-        out[rows] = float(n) + np.add.accumulate(p * signs, axis=1)[:, -1]
+        out[rows] = alternating_sums(p, n)
     return out, sparsity, mu
+
+
+def expansion_error(stack: ProximalStack, max_T: int, op=None, step=None):
+    """None where the path expansion is the net's Jacobian prod_t (I - W^T D_t W):
+    the identity operator with the data step skipped (unchecked without op
+    and step), and a symmetric single-layer ws stack with T <= max_T.
+    Elsewhere the error to raise."""
+    if op is not None and (op.kind != "identity" or not step.skipped):
+        return UnsupportedArchitectureError("path expansion needs the identity operator with the data step skipped")
+    if stack.K != 1 or not stack.symmetric:
+        return UnsupportedArchitectureError("path expansion needs a symmetric single-layer stack (K=1)")
+    if stack.mode != "ws":
+        return UnsupportedArchitectureError("path expansion needs shared weights across iterations")
+    if stack.T > max_T:
+        return PathCapExceededError(f"path expansion for T={stack.T} exceeds the cap {max_T} (2^T subsets)")
+    return None
 
 
 def path_expansion(
@@ -307,20 +328,12 @@ def path_expansion(
 ) -> PathExpansion:
     """Enumerate all 2^T - 1 nonempty iteration subsets of one input's
     recorded masks, in combinations order (by size, then
-    lexicographically): the one-input case of `path_table`, as PathTerms."""
-    if stack.K != 1 or not stack.symmetric:
-        raise UnsupportedArchitectureError(
-            "path expansion needs a symmetric single-layer stack (K=1)"
-        )
-    if stack.mode != "ws":
-        raise UnsupportedArchitectureError(
-            "path expansion needs shared weights across iterations"
-        )
+    lexicographically): the one-input case of `path_table`, as PathTerms.
+    Raises the `expansion_error` of the stack."""
+    error = expansion_error(stack, max_T)
+    if error is not None:
+        raise error
     T = stack.T
-    if T > max_T:
-        raise PathCapExceededError(
-            f"path expansion for T={T} exceeds the cap {max_T} (2^T subsets)"
-        )
     table = path_table(stack.weights[0][0][0], [[masks[t][0] for t in range(T)]])
     levels = _subset_levels(T)
     sparsity = table.sparsities[0]
@@ -332,15 +345,20 @@ def path_expansion(
         table.deviation_bound[0].tolist(),
         chain.from_iterable(map(tuple, sparsity[level.idx].tolist()) for level in levels),
     ))
-    terms.mu = table.mu
+    terms.table = table
     return terms
 
 
-def theorem1_bound(mu: float, rho_max: float, T: int) -> tuple[float, float]:
-    """Theorem 1's eps = mu * rho_max^(3/2) and its surrogate error bound
-    (1 + eps)^T - 1 - eps*T; returns (eps, bound)."""
-    eps = float(mu * rho_max**1.5)
-    return eps, float((1.0 + eps) ** T - 1.0 - eps * T)
+def theorem1_bound(mu: float, sparsities):
+    """Theorem 1 on B inputs on a W of incoherence mu, from their (B, T)
+    per-iteration sparsities tr(D_t): rho_max, the largest over t of their
+    mean over the inputs; eps = mu * rho_max^(3/2); the surrogate error
+    bound (1 + eps)^T - 1 - eps*T, summed as sum_{k=2}^T C(T, k) eps^k so
+    that a small eps does not cancel; and whether eps < 1, the theorem's
+    hypothesis. Returns (rho_max, eps, bound, valid)."""
+    rho_max = float((sparsities.sum(axis=0) / len(sparsities)).max())
+    eps, T = float(mu * rho_max**1.5), sparsities.shape[1]
+    return rho_max, eps, fsum(comb(T, k) * eps**k for k in range(2, T + 1)), eps < 1.0
 
 
 @dataclass
@@ -355,32 +373,13 @@ class JacobianReport:
     epsilon: float
     surrogate: float
     bound: float
+    valid: bool
     paths: list[PathTerm]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "T": self.T,
-                "trace": self.trace,
-                "mu_w": self.mu_w,
-                "rho": self.rho,
-                "epsilon": self.epsilon,
-                "surrogate": self.surrogate,
-                "bound": self.bound,
-                "valid": self.epsilon < 1.0,
-                "paths": [
-                    {
-                        "I": list(t.index_set),
-                        "trace": t.trace_exact,
-                        "p": t.path_sparsity,
-                        "bound": t.deviation_bound,
-                    }
-                    for t in self.paths
-                ],
-            },
-            sort_keys=True,
-        )
+        paths = [{"I": list(t.index_set), "trace": t.trace_exact, "p": t.path_sparsity,
+                  "bound": t.deviation_bound} for t in self.paths]
+        return json.dumps({**self.__dict__, "paths": paths}, sort_keys=True)
 
 
 def jacobian_report(
@@ -391,28 +390,18 @@ def jacobian_report(
     max_T: int = DEFAULT_PATH_CAP,
 ) -> JacobianReport:
     """Full single-input analysis: the exact Jacobian, the path expansion,
-    and its surrogate n + sum_I (-1)^|I| p_I summed over the terms in
-    order, with Theorem 1's eps and bound. The expansion's product
+    and its `alternating_sums` surrogate with `theorem1_bound`'s eps and bound.
+    Raises the `expansion_error` of the net: the expansion's product
     prod_t (I - W^T D_t W) is the Jacobian only on the identity operator
-    with the data step skipped; other nets raise
-    UnsupportedArchitectureError."""
-    if op.kind != "identity" or not step.skipped:
-        raise UnsupportedArchitectureError(
-            "path expansion needs the identity operator with the data step skipped"
-        )
+    with the data step skipped."""
+    error = expansion_error(stack, max_T, op, step)
+    if error is not None:
+        raise error
     J = accumulate_jacobian(masks, stack, op, step)
     terms = path_expansion(masks, stack, max_T=max_T)
-    rho = [t.sparsities[0] for t in terms[: stack.T]]  # the singletons (1,) .. (T,)
-    surrogate = float(stack.n) + sum((-1.0) ** len(t.index_set) * t.path_sparsity for t in terms)
-    eps, bound = theorem1_bound(terms.mu, max(rho), stack.T)
-    return JacobianReport(
-        n=stack.n,
-        T=stack.T,
-        trace=jacobian_trace_exact(J),
-        mu_w=terms.mu,
-        rho=rho,
-        epsilon=eps,
-        surrogate=surrogate,
-        bound=bound,
-        paths=terms,
-    )
+    table = terms.table
+    _, eps, bound, valid = theorem1_bound(table.mu, table.sparsities)
+    surrogate = float(alternating_sums(table.path_sparsity, stack.n)[0])
+    return JacobianReport(n=stack.n, T=stack.T, trace=jacobian_trace_exact(J), mu_w=table.mu,
+                          rho=table.sparsities[0].tolist(), epsilon=eps, surrogate=surrogate,
+                          bound=bound, valid=valid, paths=terms)

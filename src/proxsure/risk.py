@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .jacobian import jacobian_trace_exact, path_surrogates, theorem1_bound
+from .jacobian import expansion_error, jacobian_trace_exact, path_surrogates, theorem1_bound
 from .network import ProximalStack, unroll
 from .operators import SensingOperator, StepParams, apply_operator, step_matrices
 
@@ -229,10 +229,9 @@ def evaluate_set(
     DOF needs a square Jacobian (m == n), and so does the Monte-Carlo DOF
     with mc_probes probes per input, input i's drawn from
     default_rng([mc_seed, i]). SURE needs sigma and the identity
-    operator: it is unbiased only for y = x + v. The path surrogate needs
-    max_T and a net whose Jacobian is the expansion's prod_t (I - W^T D_t W):
-    the identity operator with the data step skipped, and a symmetric
-    single-layer ws stack with T <= max_T.
+    operator: it is unbiased only for y = x + v. The path surrogate and
+    `theorem1_bound`'s values need max_T and a net without an `expansion_error`:
+    one whose Jacobian is the expansion's prod_t (I - W^T D_t W).
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if Y.ndim != 2 or Y.shape[1] != op.m:
@@ -254,12 +253,9 @@ def evaluate_set(
         ev.dof_mc, ev.mc_std_error = np.array(mc).T
     if sigma is not None and op.kind == "identity":
         ev.sure = sure(ev.rss, ev.dof, op.n, sigma)
-    if (max_T is None or op.kind != "identity" or not step.skipped or stack.K != 1
-            or not stack.symmetric or stack.mode != "ws" or stack.T > max_T):
+    if max_T is None or expansion_error(stack, max_T, op, step) is not None:
         return ev
     d = np.stack([units[0][1] for _, units in rec], axis=1)  # (B, T, l) masks
     ev.surrogate, rho, ev.mu = path_surrogates(stack.weights[0][0][0], d, stack.n)
-    ev.rho_max = float((rho.sum(axis=0) / len(Y)).max())
-    ev.epsilon, ev.bound = theorem1_bound(ev.mu, ev.rho_max, stack.T)
-    ev.eps_valid = ev.epsilon < 1.0
+    ev.rho_max, ev.epsilon, ev.bound, ev.eps_valid = theorem1_bound(ev.mu, rho)
     return ev

@@ -66,7 +66,7 @@ COLUMN_DOCS = {
     "rho_max": "largest mean per-iteration activation count",
     "epsilon": "mu_w * rho_max^(3/2)",
     "dof_surrogate": "mean alternating path-sparsity sum; nan unless the path expansion is the network's Jacobian: the identity operator with the data step skipped (alpha = 0, gradient or ls) and a symmetric single-layer ws stack with T <= path_cap (its summary mean and count cover only seeds with eps_valid true)",
-    "theorem1_bound": "(1 + epsilon)^T - 1 - epsilon T; nan where dof_surrogate is (its summary mean and count cover only seeds with eps_valid true)",
+    "theorem1_bound": "(1 + epsilon)^T - 1 - epsilon T, summed as sum_{k=2..T} C(T, k) epsilon^k; nan where dof_surrogate is (its summary mean and count cover only seeds with eps_valid true)",
     "eps_valid": "True when epsilon < 1, the hypothesis of Theorem 1: only there do dof_surrogate and theorem1_bound carry its guarantee (nan where dof_surrogate is; its summary mean is the share of valid seeds)",
 }
 
@@ -167,10 +167,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
     per-cell files written under the same config.
 
     Each cell file stores a SHA-256 of the config a cell depends on (see
-    _cell_config_sha256); a file whose hash is missing or differs, or
-    that lacks a column, is recomputed, so a resumed directory never
-    mixes configs, while growing a grid or moving the directory reuses
-    the cells already done.
+    _cell_config_sha256); a file that is not a JSON object, whose hash is
+    missing or differs, or that lacks a column, is recomputed, so a
+    resumed directory never mixes configs, while growing a grid or moving
+    the directory reuses the cells already done.
 
     Each train split (sigma, N, seed) and test split (sigma, n_test, seed)
     is built once and shared, read-only, by the cells that use it (the ws
@@ -202,12 +202,15 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
     def compute(cell):
         mode, sigma, n_train, seed = cell
         path = os.path.join(out_dir, _cell_name(*cell))
-        if os.path.exists(path):
+        try:
             with open(path) as f:
                 row = json.load(f)
-            key = (row.get("mode"), row.get("sigma"), row.get("n_train"), row.get("seed"))
-            if row.get("config_sha256") == config_sha256 and key == cell and row.keys() >= set(COLUMNS):
-                return row
+        except (FileNotFoundError, ValueError):  # no cell file, or not JSON
+            row = None
+        if (isinstance(row, dict) and row.get("config_sha256") == config_sha256
+                and tuple(map(row.get, ("mode", "sigma", "n_train", "seed"))) == cell
+                and row.keys() >= set(COLUMNS)):
+            return row
         started = time.perf_counter()
         row = run_cell(cfg, mode, sigma, n_train, seed)
         timings[_cell_name(*cell)] = time.perf_counter() - started

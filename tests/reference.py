@@ -224,12 +224,11 @@ def dof_surrogate(terms: list[PathTerm], n: int, mu: float, rho=None):
             for idx, s in zip(term.index_set, term.sparsities):
                 per_iter[idx] = s
         rho = [per_iter[i] for i in sorted(per_iter)]
-    rho_max = float(np.max(rho)) if len(rho) else 0.0
     surrogate = float(n) + sum(
         (-1.0) ** len(t.index_set) * t.path_sparsity for t in terms
     )
-    eps, bound = theorem1_bound(mu, rho_max, T)
-    return surrogate, eps, bound, eps < 1.0
+    _, eps, bound, valid = theorem1_bound(mu, np.array([rho], dtype=np.float64))
+    return surrogate, eps, bound, valid
 
 
 def _sample_regular_input(stack, op, step, rng, margin=1e-4, attempts=50):

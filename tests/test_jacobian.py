@@ -1,6 +1,8 @@
 import gc
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from proxsure.jacobian import (
     path_expansion,
     path_surrogates,
     path_table,
+    theorem1_bound,
 )
 from proxsure.network import ProximalStack, random_stack, unroll, unroll_forward
 from proxsure.operators import (
@@ -30,7 +33,7 @@ from proxsure.operators import (
     identity_operator,
     step_matrices,
 )
-from proxsure.risk import dof_finite_difference
+from proxsure.risk import dof_finite_difference, evaluate_set
 from proxsure.network import forward_map
 from reference import dof_surrogate, jacobian_from_trace, norm_matrix_b, path_deviation
 
@@ -187,7 +190,7 @@ def test_path_cap_and_architecture_errors():
 
 def test_bound_monotone_in_eps_and_T():
     def bound(eps, T):
-        return (1 + eps) ** T - 1 - eps * T
+        return theorem1_bound(eps, np.ones((1, T)))[2]  # mu = eps, rho_max = 1
 
     for T in (2, 5, 9):
         vals = [bound(e, T) for e in np.linspace(0, 2, 9)]
@@ -195,6 +198,10 @@ def test_bound_monotone_in_eps_and_T():
     for eps in (0.1, 0.5, 0.9):
         vals = [bound(eps, T) for T in range(1, 10)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+    # (1 + eps)^T - 1 - eps T read -4e-17 at eps = 1e-17, 3.3e-16 at 1e-9
+    # and 642478.7469999999 at 85.3, T = 3
+    for eps, T in [(1e-17, 4), (1e-9, 4), (85.3, 3), (0.3, 5), (0.3, 1)]:
+        assert bound(eps, T) == float(sum(comb(T, k) * Fraction(eps) ** k for k in range(2, T + 1)))
 
 
 def test_jacobian_matches_finite_differences():
@@ -393,7 +400,7 @@ def _assert_rows_match_path_expansion(W, masks):
         assert repr(table.path_sparsity[i].tolist()) == repr([t.path_sparsity for t in terms])
         assert repr(table.deviation_bound[i].tolist()) == repr([t.deviation_bound for t in terms])
         assert repr(table.sparsities[i].tolist()) == repr([t.sparsities[0] for t in terms[:T]])
-        assert table.mu == terms.mu == incoherence(W)
+        assert table.mu == terms.table.mu == incoherence(W)
 
 
 @pytest.mark.parametrize("budget", [None, 0, 14000, 25000])
@@ -488,3 +495,67 @@ def test_path_table_memory_within_budget(B, T, ell):
         tracemalloc.stop()
     assert table.traces.shape == (B, 2**T - 1)
     assert peak - retained <= jacobian._PRODUCT_BUDGET
+
+
+def test_jacobian_report_reaches_path_expansion_once(monkeypatch):
+    # a benchmark counts the path terms of jacobian_report at the module
+    # attribute jacobian.path_expansion
+    calls = []
+    expansion = jacobian.path_expansion
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return expansion(*args, **kwargs)
+
+    monkeypatch.setattr(jacobian, "path_expansion", counted)
+    stack = random_stack(6, [3], T=4, seed=4)
+    _, tr = unroll_forward(np.random.default_rng(4).standard_normal(6), stack, identity_operator(6), STEP0)
+    report = jacobian_report(tr, stack, identity_operator(6), STEP0)
+    assert calls == [4] and len(report.paths) == 2**4 - 1
+
+
+@pytest.mark.parametrize("T", range(1, 11))
+@pytest.mark.parametrize("scale, valid", [(0.1, True), (3.0, False)])
+def test_jacobian_report_agrees_with_evaluate_set_on_one_input(T, scale, valid):
+    rng = np.random.default_rng([33, T])
+    n, ell = 12, 5
+    stack = stack_for(scale * rng.standard_normal((ell, n)) / np.sqrt(n), T)
+    op, y = identity_operator(n), rng.standard_normal(n)
+    _, tr = unroll_forward(y, stack, op, STEP0, record=True)
+    report = jacobian_report(tr, stack, op, STEP0)
+    ev = evaluate_set(stack, op, STEP0, y, max_T=T)
+    got = [report.trace, report.surrogate, report.mu_w, max(report.rho),
+           report.epsilon, report.bound, report.valid]
+    want = [ev.dof[0].item(), ev.surrogate[0].item(), ev.mu, ev.rho_max,
+            ev.epsilon, ev.bound, ev.eps_valid]
+    assert repr(got) == repr(want)
+    assert report.valid is valid
+
+
+REJECTED = {  # (stack, operator, step, cap, error)
+    "circular": (dict(hidden=[3]), circular_operator([0.6, 0.25, 0.15], 6), STEP0, 14,
+                 UnsupportedArchitectureError),
+    "alpha": (dict(hidden=[3]), identity_operator(6), StepParams("gradient", 0.5), 14,
+              UnsupportedArchitectureError),
+    "deblur": (dict(hidden=[3]), identity_operator(6), StepParams("deblur", 0.5), 14,
+               UnsupportedArchitectureError),
+    "K=2": (dict(hidden=[3, 3]), identity_operator(6), STEP0, 14, UnsupportedArchitectureError),
+    "asymmetric": (dict(hidden=[3], symmetric=False), identity_operator(6), STEP0, 14,
+                   UnsupportedArchitectureError),
+    "wc": (dict(hidden=[3], mode="wc"), identity_operator(6), STEP0, 14,
+           UnsupportedArchitectureError),
+    "T>cap": (dict(hidden=[3]), identity_operator(6), STEP0, 2, PathCapExceededError),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_a_net_outside_the_expansion_has_no_surrogate_and_no_jacobian_report(name):
+    kwargs, op, step, cap, error = REJECTED[name]
+    stack = random_stack(6, T=3, seed=1, **kwargs)
+    y = np.random.default_rng(5).standard_normal(6)
+    _, tr = unroll_forward(y, stack, op, step, record=True)
+    ev = evaluate_set(stack, op, step, y, max_T=cap)
+    assert ev.surrogate is None and "dof_surrogate" not in ev.columns()
+    with pytest.raises(error):
+        jacobian_report(tr, stack, op, step, max_T=cap)
+    assert type(jacobian.expansion_error(stack, cap, op, step)) is error

@@ -337,6 +337,23 @@ def test_resume_recomputes_cell_file_that_lacks_a_column(tmp_path, tiny_cfg, cel
     assert [c[1:] for c in cell_calls] == [("ws", 0.2, 8, 0)]
 
 
+@pytest.mark.parametrize("spoil", [lambda text: "[1, 2]", lambda text: text[: len(text) // 2]],
+                         ids=["json-list", "truncated"])
+def test_resume_recomputes_cell_file_that_is_not_a_json_object(tmp_path, tiny_cfg, cell_calls, spoil):
+    cfg = parse_config(tiny_cfg.read_text())
+    out = tmp_path / "out"
+    run_sweep(cfg, out)
+    os.remove(out / "timings.csv")
+    fresh = {p.name: p.read_bytes() for p in out.iterdir()}
+    (cell_file,) = out.glob("cell_*.json")
+    cell_file.write_text(spoil(cell_file.read_text()))
+    cell_calls.clear()
+    run_sweep(cfg, out)
+    assert [c[1:] for c in cell_calls] == [("ws", 0.2, 8, 0)]
+    os.remove(out / "timings.csv")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
+
+
 TREND_SIZED_CONFIG = """\
 n = 32
 data.rank = 4
@@ -429,6 +446,9 @@ def test_evaluate_psnr_mean_averages_per_input_psnrs_and_sweep_psnr_is_of_the_me
     assert mean["mse_mean"] == pytest.approx(float(row["test_mse"]), rel=1e-12)
     # by Jensen's inequality the mean of the PSNRs exceeds the PSNR of the mean
     assert mean["psnr_mean"] > float(row["psnr"])
+    # evaluate applies the sweep's path_cap, so the Theorem 1 values agree
+    theorem1 = ("mu_w", "rho_max", "epsilon", "dof_surrogate", "theorem1_bound", "eps_valid")
+    assert {k: sweep._fmt(mean[k]) for k in theorem1} == {k: row[k] for k in theorem1}
 
 
 def test_cli_sweep_and_report(tmp_path, tiny_cfg, capsys):
