@@ -15,14 +15,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
-from math import comb, fsum
+from itertools import chain, combinations, repeat
+from math import comb, fsum, inf
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NonFiniteError,
     PathCapExceededError,
     UnsupportedArchitectureError,
 )
@@ -120,12 +122,20 @@ class _Level(NamedTuple):
     idx: np.ndarray  # (N, j) indices
     masks: np.ndarray  # (N,) bitmasks
     prefix: np.ndarray  # (N,) row of s[:-1] in level j - 1 (row 0 of level 0 is ())
-    index_sets: tuple  # 1-based tuples
+
+
+class _Subsets(NamedTuple):
+    """The 2^T - 1 nonempty subsets I of range(T) in combinations order,
+    by level and whole."""
+
+    levels: tuple  # the _Level of each size j = 1..T
+    order: np.ndarray  # (2^T - 1,) bitmasks
+    signs: np.ndarray  # (2^T - 1,) (-1)^|I|
 
 
 @lru_cache(maxsize=DEFAULT_PATH_CAP + 1)
-def _subset_levels(T: int) -> tuple[_Level, ...]:
-    """Levels 1..T of the subsets of range(T), built once per T."""
+def _subsets(T: int) -> _Subsets:
+    """The `_Subsets` of T, built once per T."""
     rank = np.zeros(1 << T, dtype=np.intp)  # row of a bitmask within its level
     levels = []
     for j in range(1, T + 1):
@@ -136,8 +146,22 @@ def _subset_levels(T: int) -> tuple[_Level, ...]:
         prefix = rank[masks ^ (1 << idx[:, -1])]
         for a in (idx, masks, prefix):
             a.flags.writeable = False  # shared by every caller
-        levels.append(_Level(idx, masks, prefix, tuple(tuple(t + 1 for t in s) for s in subsets)))
-    return tuple(levels)
+        levels.append(_Level(idx, masks, prefix))
+    order = np.concatenate([level.masks for level in levels])
+    signs = np.concatenate([np.full(len(level.idx), (-1.0) ** j) for j, level in enumerate(levels, 1)])
+    order.flags.writeable = signs.flags.writeable = False
+    return _Subsets(tuple(levels), order, signs)
+
+
+@lru_cache(maxsize=DEFAULT_PATH_CAP + 1)
+def _term_tables(T: int):
+    """What a PathTerm owes to T alone, built once per T: the 1-based
+    index sets in combinations order and, per level j >= 2, one
+    itemgetter of its subsets' indices in turn, which returns each
+    subset's j values in a row from a length-T list."""
+    levels = _subsets(T).levels
+    index_sets = tuple(tuple(t + 1 for t in s) for level in levels for s in level.idx.tolist())
+    return index_sets, tuple(itemgetter(*level.idx.ravel().tolist()) for level in levels[1:])
 
 
 def _chunks(B: int, nbytes: int):
@@ -165,7 +189,7 @@ def _expand(traces, masked, P, high, budget):
     by `_children` instead (depth first over the high index).
     """
     m = P.shape[1]
-    levels = _subset_levels(m)
+    levels = _subsets(m).levels
     traces[levels[0].masks | high] = P.trace(axis1=2, axis2=3).T
     if m < 2:
         return
@@ -216,7 +240,7 @@ def _sparsity_half(d, b, hop, p, bound):
     B, T, ell = d.shape
     joint, prev = np.ones((B, 1, ell)), np.ones((B, 1))
     col = 0
-    for j, level in enumerate(_subset_levels(T), 1):
+    for j, level in enumerate(_subsets(T).levels, 1):
         last = level.idx[:, -1]
         joint = joint.take(level.prefix, axis=1) * d.take(last, axis=1)
         prev = prev.take(level.prefix, axis=1) * hop.take(last, axis=1)
@@ -276,16 +300,14 @@ def path_table(W, masks) -> PathTable:
         masked = d[rows, :, :, None] * G  # D_t G
         _expand(traces[:, rows], masked, masked, 0, _PRODUCT_BUDGET - masked.nbytes)
         del masked
-    order = np.concatenate([level.masks for level in _subset_levels(T)])
-    return PathTable(traces.take(order, axis=0).T, p, bound, sparsity, mu)
+    return PathTable(traces.take(_subsets(T).order, axis=0).T, p, bound, sparsity, mu)
 
 
 def alternating_sums(p, n: int) -> np.ndarray:
     """The path surrogates n + sum_I (-1)^|I| p_I of the rows of p
     (B, 2^T - 1), each summed over the subsets in combinations order from
     left to right."""
-    levels = _subset_levels(p.shape[1].bit_length())  # 2^T - 1 has T bits
-    signs = np.concatenate([np.full(len(level.idx), (-1.0) ** j) for j, level in enumerate(levels, 1)])
+    signs = _subsets(p.shape[1].bit_length()).signs  # 2^T - 1 has T bits
     return float(n) + np.add.accumulate(p * signs, axis=1)[:, -1]
 
 
@@ -329,22 +351,21 @@ def path_expansion(
     """Enumerate all 2^T - 1 nonempty iteration subsets of one input's
     recorded masks, in combinations order (by size, then
     lexicographically): the one-input case of `path_table`, as PathTerms.
+    A term is its row of the table with the `_term_tables` of T: its
+    index set and, picked from the input's T sparsities, its per-hop ones.
     Raises the `expansion_error` of the stack."""
     error = expansion_error(stack, max_T)
     if error is not None:
         raise error
     T = stack.T
     table = path_table(stack.weights[0][0][0], [[masks[t][0] for t in range(T)]])
-    levels = _subset_levels(T)
-    sparsity = table.sparsities[0]
-    terms = PathExpansion(map(
-        PathTerm,
-        chain.from_iterable(level.index_sets for level in levels),
-        table.traces[0].tolist(),
-        table.path_sparsity[0].tolist(),
-        table.deviation_bound[0].tolist(),
-        chain.from_iterable(map(tuple, sparsity[level.idx].tolist()) for level in levels),
-    ))
+    index_sets, picks = _term_tables(T)
+    s = table.sparsities[0].tolist()
+    # level 1 is s itself; level j >= 2 groups its picks j at a time
+    hops = chain(zip(s), *(zip(*[iter(pick(s))] * j) for j, pick in enumerate(picks, 2)))
+    rows = zip(index_sets, table.traces[0].tolist(), table.path_sparsity[0].tolist(),
+               table.deviation_bound[0].tolist(), hops)
+    terms = PathExpansion(map(tuple.__new__, repeat(PathTerm), rows))
     terms.table = table
     return terms
 
@@ -354,11 +375,16 @@ def theorem1_bound(mu: float, sparsities):
     per-iteration sparsities tr(D_t): rho_max, the largest over t of their
     mean over the inputs; eps = mu * rho_max^(3/2); the surrogate error
     bound (1 + eps)^T - 1 - eps*T, summed as sum_{k=2}^T C(T, k) eps^k so
-    that a small eps does not cancel; and whether eps < 1, the theorem's
-    hypothesis. Returns (rho_max, eps, bound, valid)."""
+    that a small eps does not cancel, and infinite beyond the largest
+    float; and whether eps < 1, the theorem's hypothesis. Returns
+    (rho_max, eps, bound, valid)."""
     rho_max = float((sparsities.sum(axis=0) / len(sparsities)).max())
     eps, T = float(mu * rho_max**1.5), sparsities.shape[1]
-    return rho_max, eps, fsum(comb(T, k) * eps**k for k in range(2, T + 1)), eps < 1.0
+    try:
+        bound = fsum(comb(T, k) * eps**k for k in range(2, T + 1))
+    except OverflowError:  # eps**k or the sum passed the largest float
+        bound = inf
+    return rho_max, eps, bound, eps < 1.0
 
 
 @dataclass
@@ -393,15 +419,24 @@ def jacobian_report(
     and its `alternating_sums` surrogate with `theorem1_bound`'s eps and bound.
     Raises the `expansion_error` of the net: the expansion's product
     prod_t (I - W^T D_t W) is the Jacobian only on the identity operator
-    with the data step skipped."""
+    with the data step skipped. Raises NonFiniteError, naming them, where
+    the trace, path traces, path sparsities or surrogate overflow; the
+    bounds may be infinite."""
     error = expansion_error(stack, max_T, op, step)
     if error is not None:
         raise error
-    J = accumulate_jacobian(masks, stack, op, step)
-    terms = path_expansion(masks, stack, max_T=max_T)
-    table = terms.table
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        trace = jacobian_trace_exact(accumulate_jacobian(masks, stack, op, step))
+        terms = path_expansion(masks, stack, max_T=max_T)
+        table = terms.table
+        surrogate = float(alternating_sums(table.path_sparsity, stack.n)[0])
+    checked = {"trace": trace, "path traces": table.traces, "path sparsities": table.path_sparsity,
+               "surrogate": surrogate}
+    bad = [name if np.ndim(v) == 0 else f"{np.sum(~np.isfinite(v))} of {np.size(v)} {name}"
+           for name, v in checked.items() if not np.isfinite(v).all()]
+    if bad:
+        raise NonFiniteError("non-finite Jacobian report: " + ", ".join(bad))
     _, eps, bound, valid = theorem1_bound(table.mu, table.sparsities)
-    surrogate = float(alternating_sums(table.path_sparsity, stack.n)[0])
-    return JacobianReport(n=stack.n, T=stack.T, trace=jacobian_trace_exact(J), mu_w=table.mu,
+    return JacobianReport(n=stack.n, T=stack.T, trace=trace, mu_w=table.mu,
                           rho=table.sparsities[0].tolist(), epsilon=eps, surrogate=surrogate,
                           bound=bound, valid=valid, paths=terms)

@@ -1,5 +1,7 @@
 import gc
+import json
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -10,6 +12,7 @@ import pytest
 from proxsure import jacobian
 from proxsure.errors import (
     DimensionMismatchError,
+    NonFiniteError,
     PathCapExceededError,
     UnsupportedArchitectureError,
 )
@@ -204,6 +207,27 @@ def test_bound_monotone_in_eps_and_T():
         assert bound(eps, T) == float(sum(comb(T, k) * Fraction(eps) ** k for k in range(2, T + 1)))
 
 
+def test_bound_is_infinite_past_the_largest_float():
+    # eps**3 overflows a float; eps >= 1 there, so Theorem 1 does not apply
+    rho_max, eps, bound, valid = theorem1_bound(1e200, np.full((1, 3), 8.0))
+    assert (rho_max, eps, bound, valid) == (8.0, 1e200 * 8.0**1.5, np.inf, False)
+
+
+def test_jacobian_report_of_an_overflowing_net_names_its_non_finite_values():
+    # weights of size 1e60 on an input of size 1e-70: the forward stays
+    # finite, while the Jacobian and the 3-hop path overflow
+    stack = stack_for(1e60 * random_stack(8, [4], T=3, seed=0).weights[0][0][0], T=3)
+    op = identity_operator(8)
+    _, tr = unroll_forward(np.full(8, 1e-70), stack, op, STEP0, record=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as info:
+            jacobian_report(tr, stack, op, STEP0)
+    assert str(info.value) == (
+        "non-finite Jacobian report: trace, 1 of 7 path traces, 1 of 7 path sparsities, surrogate"
+    )
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(8)
     n = 10
@@ -283,6 +307,33 @@ def _reference_path_expansion(trace, stack):
                 )
             )
     return terms
+
+
+def _reference_report_json(trace, stack, op):
+    """The report's JSON built from `_reference_path_expansion` and
+    `accumulate_jacobian`."""
+    terms = _reference_path_expansion(trace, stack)
+    mu = incoherence(stack.weights[0][0][0])
+    rho = [float(m[0].sum()) for m in trace]
+    surrogate, eps, bound, valid = dof_surrogate(terms, stack.n, mu, rho)
+    paths = [{"I": list(t.index_set), "trace": t.trace_exact, "p": t.path_sparsity,
+              "bound": t.deviation_bound} for t in terms]
+    return json.dumps({
+        "n": stack.n, "T": stack.T, "trace": jacobian_trace_exact(accumulate_jacobian(trace, stack, op, STEP0)),
+        "mu_w": mu, "rho": rho, "epsilon": eps, "surrogate": surrogate, "bound": bound, "valid": valid,
+        "paths": paths,
+    }, sort_keys=True)
+
+
+@pytest.mark.parametrize("T, ell", [(T, 6) for T in range(1, 11)] + [(14, 3)])
+def test_jacobian_report_json_equals_the_per_subset_reference(T, ell):
+    rng = np.random.default_rng([35, T])
+    n = 8
+    stack = stack_for(rng.standard_normal((ell, n)) / np.sqrt(n), T)
+    op = identity_operator(n)
+    _, tr = unroll_forward(rng.standard_normal(n), stack, op, STEP0, record=True)
+    assert 0 < sum(m[0].sum() for m in tr) < T * ell  # some units on, some off
+    assert jacobian_report(tr, stack, op, STEP0).to_json() == _reference_report_json(tr, stack, op)
 
 
 def _random_masked_net(rng, T, ell, n, scale=1.0):

@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxsure.errors import DimensionMismatchError
+from proxsure.errors import DimensionMismatchError, NonFiniteError
 from proxsure.jacobian import jacobian_trace_exact
 from proxsure.risk import (
     default_mc_delta,
@@ -67,6 +68,22 @@ def test_mc_one_probe_has_no_standard_error():
 def test_mc_zero_map():
     est, _ = dof_monte_carlo(lambda v: np.zeros_like(v), np.ones(4), K=4)
     assert est == 0.0
+
+
+def test_mc_nan_in_one_probe_row_is_a_non_finite_error():
+    def h(v):
+        out = 2.0 * v
+        if out.ndim == 2:  # the probe batch; h(y) itself stays finite
+            out[5, 2] = np.nan
+        return out
+
+    y = np.random.default_rng(6).standard_normal(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="Monte-Carlo"):
+            dof_monte_carlo(h, y, K=8)
+        with pytest.raises(NonFiniteError, match="Monte-Carlo"):
+            sure_report(h, y, 0.1, J=2.0 * np.eye(4), mc_probes=8)
 
 
 def test_mc_deterministic_and_linear_convergence():

@@ -759,6 +759,27 @@ def test_cli_jacobian_report_prints_the_report_of_the_input(tmp_path, tiny_cfg, 
     assert out == jacobian_report(masks, stack, op, step, max_T=cfg.path_cap).to_json() + "\n"
 
 
+def test_cli_jacobian_report_on_an_overflowing_net_is_one_runtime_error_line(tmp_path, tiny_cfg, capsys):
+    import warnings
+
+    from reference import stack_with_weights
+
+    # weights of size 1e60 on an input of size 1e-70: the forward stays
+    # finite, while the Jacobian and the 3-hop path overflow
+    stack = random_stack(8, [4], T=3, seed=0)
+    weights = tmp_path / "w.bin"
+    save_stack(stack_with_weights(stack, [1e60 * stack.weights[0][0][0]]), weights)
+    y = json.dumps([1e-70] * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["jacobian-report", str(weights), y, "--config", str(tiny_cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "runtime error: non-finite Jacobian report: trace, 1 of 7 path traces, 1 of 7 path sparsities, surrogate"
+    ]
+
+
 def test_cli_jacobian_report_on_wc_net_is_runtime_error(tmp_path, capsys):
     cfg = tmp_path / "wc.txt"
     cfg.write_text(TINY_CONFIG.replace('model.mode = ["ws"]', 'model.mode = ["wc"]'))
