@@ -125,18 +125,23 @@ def random_stack(
     return ProximalStack(n=n, T=T, mode=mode, symmetric=symmetric, weights=tuple(its))
 
 
-def _unit(h, W, Wbar, D=None):
+def _unit(h, W, Wbar, D=None, forward_only=False):
     """One residual unit; returns (h', D, a) with a = D * (Wbar h) the
     ReLU output that the backward pass reuses. D is the given mask, or
-    1{Wbar h > 0} when None.
+    1{Wbar h > 0} when None. A forward_only call builds no mask: it
+    returns D None and applies ReLU as max(a, 0), which gives the same h'
+    bit for bit wherever the pre-activations are finite.
 
     a is written into the pre-activation buffer and h' into the a @ W
     product, so a call allocates only the arrays it returns; h is read,
     never written."""
     a = h @ (W if Wbar is None else Wbar).T
-    if D is None:
-        D = a > 0.0
-    np.multiply(a, D, out=a)
+    if forward_only:
+        np.maximum(a, 0.0, out=a)
+    else:
+        if D is None:
+            D = a > 0.0
+        np.multiply(a, D, out=a)
     p = a @ W
     return (np.subtract(h, p, out=p) if Wbar is None else np.add(h, p, out=p)), D, a
 
@@ -164,7 +169,8 @@ def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool 
             h += y @ G_y.T
         units = []
         for k, (W, Wbar) in enumerate(stack.layer_weights(t)):
-            h_next, D, a = _unit(h, W, Wbar, None if masks is None else masks[t][k])
+            h_next, D, a = _unit(h, W, Wbar, None if masks is None else masks[t][k],
+                                 forward_only=masks is None and not record)
             if record:
                 units.append((h, D, a))
             h = h_next

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .jacobian import expansion_error, jacobian_trace_exact, path_surrogates, theorem1_bound
+from .jacobian import _check_finite, expansion_error, jacobian_trace_exact, path_surrogates, theorem1_bound
 from .network import ProximalStack, unroll
 from .operators import SensingOperator, StepParams, apply_operator, step_matrices
 
@@ -232,10 +232,28 @@ def evaluate_set(
     operator: it is unbiased only for y = x + v. The path surrogate and
     `theorem1_bound`'s values need max_T and a net without an `expansion_error`:
     one whose Jacobian is the expansion's prod_t (I - W^T D_t W).
+
+    Raises NonFiniteError, naming them, where the values computed are not
+    finite, except Theorem 1's bound and the Monte-Carlo standard error of
+    one probe, which may be infinite or nan by rule. The Monte-Carlo DOF
+    is drawn only where the outputs and the exact DOF are finite.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if Y.ndim != 2 or Y.shape[1] != op.m:
         raise DimensionMismatchError("measurement set", op.m, Y.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        ev = _evaluate_set(stack, op, step, Y, sigma, max_T, mc_probes, mc_seed)
+    _check_finite("set evaluation", {
+        "outputs": ev.xhat, "rss": ev.rss, "DOF": ev.dof, "Monte-Carlo DOF": ev.dof_mc,
+        "Monte-Carlo standard errors": ev.mc_std_error if mc_probes and mc_probes > 1 else None,
+        "SURE": ev.sure, "surrogates": ev.surrogate,
+        **({"mu": ev.mu, "rho_max": ev.rho_max, "epsilon": ev.epsilon} if ev.surrogate is not None else {}),
+    })
+    return ev
+
+
+def _evaluate_set(stack, op, step, Y, sigma, max_T, mc_probes, mc_seed) -> SetEvaluation:
+    """The values of `evaluate_set`, unchecked."""
     G_x, G_y = step_matrices(op, step)
     xhat, rec = unroll(Y, stack, op, G_x, G_y, record=True)
     target = Y if op.m == op.n else apply_operator(op, Y, "adjoint")
@@ -247,7 +265,7 @@ def evaluate_set(
     ev.dof = np.array(
         [jacobian_trace_exact(unroll(eye, stack, op, G_x, G_y, masks=m)[0]) for m in masks]
     )
-    if mc_probes:
+    if mc_probes and np.isfinite(xhat).all() and np.isfinite(ev.dof).all():
         h = lambda v: unroll(v, stack, op, G_x, G_y)[0]
         mc = [dof_monte_carlo(h, y, mc_probes, seed=[mc_seed, i]) for i, y in enumerate(Y)]
         ev.dof_mc, ev.mc_std_error = np.array(mc).T

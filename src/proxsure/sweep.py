@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextvars
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import data as datamod
 from .config import ExperimentConfig, build_dataset, build_operator, build_step, config_to_text
-from .errors import ProxsureError, TrainingFailureError
+from .errors import NonFiniteError, ProxsureError, TrainingFailureError
 from .operators import apply_operator
 from .risk import evaluate_set, mse_psnr
 from .train import train
@@ -135,8 +134,12 @@ def run_cell(cfg: ExperimentConfig, mode: str, sigma: float, n_train: int, seed:
         row["status"] = "training-failure"
         return row
 
-    ev = evaluate_set(result.stack, op, step, m_test, sigma, max_T=cfg.path_cap,
-                      mc_probes=cfg.mc_probes(), mc_seed=seed)
+    try:
+        ev = evaluate_set(result.stack, op, step, m_test, sigma, max_T=cfg.path_cap,
+                          mc_probes=cfg.mc_probes(), mc_seed=seed)
+    except NonFiniteError:
+        row["status"] = "evaluation-failure"
+        return row
     row["test_mse"], row["psnr"] = mse_psnr(ev.xhat, test_set.samples)
     row.update(ev.columns())
     return row
@@ -155,7 +158,10 @@ def _fmt(value) -> str:
 def _cell_config_sha256(cfg: ExperimentConfig) -> str:
     """SHA-256 of the echoed config without the keys that only select
     cells (the grids; a cell file holds its own mode, sigma, N and seed)
-    or name the output directory."""
+    or name the output directory. hashlib is imported here, not with the
+    module, so that importing proxsure loads no OpenSSL."""
+    import hashlib
+
     cell_cfg = dataclasses.replace(
         cfg, sigma=[], sigma_pixel=[], n_train_grid=[], model_mode=[], seeds=[], out=""
     )

@@ -411,10 +411,25 @@ def test_path_expansion_bit_identical_under_any_budget(monkeypatch, budget):
     _assert_matches_reference(stack, tr)
 
 
-@pytest.mark.parametrize("T, ell", [(10, 64), (12, 64), (14, 32), (12, 128)])
-def test_path_expansion_memory_within_budget(T, ell):
-    stack, tr = _random_masked_net(np.random.default_rng([26, T]), T, ell, ell)
+@pytest.mark.parametrize("T, ell, repeated", [
+    pytest.param(10, 64, False, id="10-64"),
+    pytest.param(12, 64, False, id="12-64"),
+    pytest.param(14, 32, False, id="14-32"),
+    pytest.param(12, 128, False, id="12-128"),
+    # a converged tail at sizes where the word kernel runs
+    pytest.param(10, 32, True, id="10-32-repeated"),
+    pytest.param(14, 12, True, id="14-12-repeated"),
+])
+def test_path_expansion_memory_within_budget(monkeypatch, T, ell, repeated):
+    if repeated:
+        masks = _pattern_masks(np.random.default_rng([26, T]), "converged", T, ell)
+        stack = stack_for(np.random.default_rng([26, T]).standard_normal((ell, ell)), T)
+        tr = trace_from_masks(masks)
+    else:
+        stack, tr = _random_masked_net(np.random.default_rng([26, T]), T, ell, ell)
+    runs = _count_calls(monkeypatch, "_word_expand")
     path_expansion(tr, stack)  # builds the per-T subset tables
+    assert len(runs) == repeated
     gc.collect()
     tracemalloc.start()
     try:
@@ -610,3 +625,102 @@ def test_a_net_outside_the_expansion_has_no_surrogate_and_no_jacobian_report(nam
     with pytest.raises(error):
         jacobian_report(tr, stack, op, step, max_T=cap)
     assert type(jacobian.expansion_error(stack, cap, op, step)) is error
+
+
+PATTERNS = {  # mask ids over T iterations
+    "converged": lambda T: [min(t, T // 2) for t in range(T)],
+    "2-cycle": lambda T: [t % 2 for t in range(T)],
+    "all equal": lambda T: [0] * T,
+    "all distinct": lambda T: list(range(T)),
+}
+
+
+def _pattern_masks(rng, pattern, T, ell):
+    """T masks of width ell whose ids follow PATTERNS[pattern], distinct
+    ids holding distinct masks."""
+    while True:
+        distinct = rng.random((T, ell)) < 0.6
+        if len(np.unique(distinct, axis=0)) == T:
+            return list(distinct[PATTERNS[pattern](T)])
+
+
+def _count_calls(monkeypatch, name):
+    """Record the calls of jacobian.<name> in a list, which is returned."""
+    calls, fn = [], getattr(jacobian, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(jacobian, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+@pytest.mark.parametrize("T", range(1, 11))
+def test_repeated_masks_match_the_per_subset_reference(monkeypatch, T, pattern):
+    # the word kernel runs on one input with at most 0.4 distinct words
+    # per subset whose levels fit `_expand`'s buffers: here at the T
+    # given; batches run `_expand`
+    word_T = {"converged": {7, 8, 9, 10}, "2-cycle": {9, 10}, "all equal": set(range(4, 11)),
+              "all distinct": set()}[pattern]
+    rng = np.random.default_rng([43, T])
+    n, ell = 8, 6
+    stack = stack_for(rng.standard_normal((ell, n)) / np.sqrt(n), T)
+    op = identity_operator(n)
+    tr = trace_from_masks(_pattern_masks(rng, pattern, T, ell))
+    runs = _count_calls(monkeypatch, "_word_expand")
+    assert jacobian_report(tr, stack, op, STEP0).to_json() == _reference_report_json(tr, stack, op)
+    _assert_matches_reference(stack, tr)
+    assert len(runs) == 2 * (T in word_T)
+    batch = np.array([_pattern_masks(rng, p, T, ell) for p in PATTERNS])
+    table = path_table(stack.weights[0][0][0], batch)
+    for row, masks in zip(table.traces, batch):
+        want = [t.trace_exact for t in _reference_path_expansion(trace_from_masks(masks), stack)]
+        assert repr(row.tolist()) == repr(want)
+
+
+def _products(monkeypatch):
+    """Count the l x l products of np.matmul calls, which the path kernels
+    make with out= arrays."""
+    counted = []
+    matmul = np.matmul
+
+    def counting(a, b, out=None, **kwargs):
+        counted.append(int(np.prod(out.shape[:-2])))
+        return matmul(a, b, out=out, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return counted
+
+
+def test_word_kernel_runs_one_product_per_distinct_word(monkeypatch):
+    # ids 0, 1, 1, ..., 1: a j-subset reads (1, ..., 1) or (1, ..., 1, 0),
+    # so the 2^T - 1 subsets have 2T - 1 words, 2 of them of length one
+    T, ell = 10, 8
+    rng = np.random.default_rng(44)
+    W = rng.standard_normal((ell, ell))
+    masks = np.array(_pattern_masks(rng, "2-cycle", 2, ell))[[0] + [1] * (T - 1)]
+    words = _count_calls(monkeypatch, "_word_expand")
+    counted = _products(monkeypatch)
+    path_table(W, masks[None])
+    assert len(words) == 1 and sum(counted) == 2 * T - 3
+    # a batch of two, and masks all distinct, run one product per subset of
+    # two or more iterations
+    counted.clear()
+    path_table(W, np.stack([masks, masks]))
+    path_table(W, np.array(_pattern_masks(rng, "all distinct", T, ell))[None])
+    assert len(words) == 1 and sum(counted) == 3 * (2**T - 1 - T)
+
+
+def test_word_count_of_a_2_cycle_is_that_of_its_parity_strings(monkeypatch):
+    # the word of a subset is the sequence of ids along it; counted here
+    # from that definition
+    T, ell = 9, 7
+    rng = np.random.default_rng(45)
+    masks = np.array(_pattern_masks(rng, "2-cycle", T, ell))
+    ids = PATTERNS["2-cycle"](T)
+    words = {tuple(ids[t] for t in s) for j in range(1, T + 1) for s in combinations(range(T), j)}
+    counted = _products(monkeypatch)
+    path_table(rng.standard_normal((ell, ell)), masks[None])
+    assert sum(counted) == len(words) - 2 < (2**T - 1) // 2

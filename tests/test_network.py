@@ -15,7 +15,7 @@ from proxsure.network import (
     unroll,
     unroll_forward,
 )
-from proxsure.operators import StepParams, circular_operator, dft_operator, identity_operator
+from proxsure.operators import StepParams, circular_operator, dft_operator, identity_operator, step_matrices
 from reference import replay_from_trace, residual_unit_forward
 
 
@@ -386,3 +386,28 @@ def test_skipped_data_step_matches_explicit_identity_matrices(mode, symmetric, o
         got = unroll(r, stack, op, None, None, masks=masks)[0]
         want = unroll(r, stack, op, *_explicit_identity_step(op), masks=masks)[0]
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["ws", "wc"])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("op, step", [
+    (identity_operator(6), IDENTITY_STEP),
+    (identity_operator(6), StepParams("gradient", 0.5)),
+    (circular_operator(np.array([0.6, 0.25, 0.15]), n=6), StepParams("ls", 0.5)),
+], ids=["identity", "identity-gradient-step", "circular-ls"])
+@pytest.mark.parametrize("B", [None, 1, 9])  # None: one (m,) input
+def test_forward_only_unroll_is_byte_equal_to_the_recorded_one(mode, symmetric, op, step, B):
+    # nonnegative weights make every unit inactive on a nonpositive row:
+    # the row of zeros, the row of -0.0 and the negative rows, where the
+    # forward-only ReLU writes +0.0 and the recorded one a * False = -0.0
+    rng = np.random.default_rng([42, B or 0])
+    stack = random_stack(6, [5, 3], T=3, mode=mode, symmetric=symmetric, seed=5)
+    stack.flat[:] = np.abs(stack.flat)
+    Y = rng.standard_normal((9, op.m))
+    Y[0], Y[1], Y[2:5] = 0.0, -0.0, -np.abs(Y[2:5])
+    Y = Y[1] if B is None else Y[-B:]
+    matrices = step_matrices(op, step)
+    x, rec = unroll(Y, stack, op, *matrices, record=True)
+    assert unroll(Y, stack, op, *matrices)[0].tobytes() == x.tobytes()
+    active = np.reshape([D.any(axis=-1) for _, units in rec for _, D, _ in units], (6, -1))
+    assert B == 1 or not active[:, :5].any()  # Y[1] alone, or rows 0-4 of the batch

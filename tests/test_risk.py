@@ -159,7 +159,7 @@ from proxsure.jacobian import (
     incoherence,
     path_expansion,
 )
-from proxsure.network import forward_map, random_stack, unroll_forward
+from proxsure.network import ProximalStack, forward_map, random_stack, unroll_forward
 from proxsure.operators import (
     StepParams,
     apply_operator,
@@ -400,3 +400,42 @@ def test_sure_report_without_jacobian_uses_finite_differences():
     assert rep.dof_exact is None and rep.primary_dof == "fd"
     assert rep.dof_fd == pytest.approx(2.5)
     assert rep.sure == sure(rep.rss, rep.dof_fd, n, 0.1)
+
+
+# --- finiteness of a set evaluation ------------------------------------------
+
+
+def _scaled_stack(n, ell, T, scale):
+    W = random_stack(n, [ell], T=T, seed=0).weights[0][0][0]
+    return ProximalStack(n=n, T=T, mode="ws", symmetric=True, weights=(((scale * W, None),),))
+
+
+@pytest.mark.parametrize("size, named", [
+    # the forward overflows: no Monte-Carlo DOF is drawn around it
+    (1.0, "32 of 32 outputs, 4 of 4 rss, 4 of 4 DOF, 4 of 4 SURE, 4 of 4 surrogates"),
+    # the outputs stay finite, while their squares, the Jacobian and the
+    # 3-hop path overflow
+    (1e-70, "4 of 4 rss, 4 of 4 DOF, 4 of 4 SURE, 4 of 4 surrogates"),
+])
+def test_evaluate_set_of_an_overflowing_net_names_its_non_finite_values(size, named):
+    stack = _scaled_stack(EVAL_N, 4, 3, 1e60)
+    Y = size * np.random.default_rng(46).standard_normal((4, EVAL_N))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as info:
+            evaluate_set(stack, identity_operator(EVAL_N), StepParams(), Y, sigma=0.2, max_T=3,
+                         mc_probes=4)
+    assert str(info.value) == "non-finite set evaluation: " + named
+
+
+def test_evaluate_set_values_infinite_or_nan_by_rule_are_not_errors():
+    # eps**14 passes the largest float while every other value stays
+    # finite, and one probe has no standard error
+    stack = _scaled_stack(16, 64, 14, 1e10)
+    Y = 1e-150 * np.random.default_rng(1).standard_normal((3, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = evaluate_set(stack, identity_operator(16), StepParams(), Y, sigma=0.1, max_T=14,
+                          mc_probes=1)
+    assert ev.bound == math.inf and np.isnan(ev.mc_std_error).all()
+    assert all(math.isfinite(v) for k, v in ev.columns().items() if k != "theorem1_bound")

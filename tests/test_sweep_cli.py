@@ -827,3 +827,53 @@ def test_cli_config_values_that_failed_at_run_time_are_config_errors(tmp_path, c
     assert cli.main(["sweep", "--config", str(bad), "--out", str(tmp_path / "s")]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+# --- a non-finite evaluation ------------------------------------------------
+
+
+def test_cli_evaluate_on_an_overflowing_net_is_one_runtime_error_line(tmp_path, capsys):
+    import warnings
+
+    from reference import stack_with_weights
+
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY_CONFIG.replace("n_test = 8", "n_test = 4"))
+    stack = random_stack(8, [4], T=3, seed=0)
+    weights = tmp_path / "w.bin"
+    save_stack(stack_with_weights(stack, [1e60 * stack.weights[0][0][0]]), weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["evaluate", str(weights), "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "runtime error: non-finite set evaluation: "
+        "32 of 32 outputs, 4 of 4 rss, 4 of 4 DOF, 4 of 4 SURE, 4 of 4 surrogates"
+    ]
+
+
+def test_evaluation_failure_recorded_in_row(tmp_path, monkeypatch):
+    train_cell = sweep.train_cell
+
+    def overflowing(*args):
+        result, *rest = train_cell(*args)
+        result.stack.flat[:] *= 1e60
+        return (result, *rest)
+
+    monkeypatch.setattr(sweep, "train_cell", overflowing)
+    rows = read_csv(run_sweep(parse_config(TINY_CONFIG), tmp_path / "out"))
+    assert rows[0]["status"] == "evaluation-failure"
+    assert all(rows[0][c] == "nan" for c in COLUMNS[5:])
+
+
+def test_importing_proxsure_loads_no_hashlib():
+    # hashlib loads OpenSSL; only a sweep's cell hash needs it
+    import subprocess
+    import sys
+
+    code = "import sys, proxsure, proxsure.cli; print('hashlib' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
