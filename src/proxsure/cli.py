@@ -19,6 +19,7 @@ from . import data as datamod
 from .config import ExperimentConfig, _number, build_dataset, build_operator, build_step, parse_config
 from .errors import ConfigError, DimensionMismatchError, ProxsureError
 from .jacobian import jacobian_report
+from .jsonout import strict_dumps
 from .network import load_stack, save_stack, unroll_forward
 from .risk import SureReport, evaluate_set, mse_psnr
 from .spectrum import spectrum, spectrum_csv
@@ -75,9 +76,10 @@ def _cmd_train(args) -> int:
         "diverged_lrs": result.diverged_lrs,
         "weights": weights_path,
     }
+    line = strict_dumps(summary, sort_keys=True)
     with open(os.path.join(cfg.out, "train.json"), "w") as f:
-        json.dump(summary, f, sort_keys=True)
-    print(json.dumps(summary, sort_keys=True))
+        f.write(line)
+    print(line)
     return 0
 
 
@@ -109,7 +111,7 @@ def _cmd_evaluate(args) -> int:
         "mse_mean": float(np.mean([r.mse_vs_truth for r in reports])),
         "psnr_mean": float(np.mean([r.psnr for r in reports])),
     }
-    print(json.dumps(mean, sort_keys=True))
+    print(strict_dumps(mean, sort_keys=True))
     if args.per_input:
         for r in reports:
             print(r.to_json())
@@ -167,7 +169,7 @@ def _cmd_spectrum(args) -> int:
     grid_path = os.path.join(out_dir, "spectrum.csv")
     with open(grid_path, "w") as f:
         f.write(spectrum_csv(grid))
-    print(json.dumps(
+    print(strict_dumps(
         {"classification": label, "low_frequency_ratio": ratio,
          "pad": args.pad, "grid": grid_path},
         sort_keys=True,

@@ -12,7 +12,6 @@ eps = mu_W * (max_t rho_t)^(3/2) < 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, repeat
@@ -28,6 +27,7 @@ from .errors import (
     PathCapExceededError,
     UnsupportedArchitectureError,
 )
+from .jsonout import strict_dumps
 from .network import ProximalStack, unroll
 from .operators import SensingOperator, StepParams, step_matrices
 
@@ -58,7 +58,7 @@ class PathTable(NamedTuple):
 
     traces: np.ndarray  # (B, 2^T - 1) tr(P_I), P_I the masked Gram product
     path_sparsity: np.ndarray  # (B, 2^T - 1) p_I = tr(D_I B^|I|)
-    deviation_bound: np.ndarray  # (B, 2^T - 1) prod over hops of sqrt(s) (s - 1) mu
+    deviation_bound: np.ndarray  # (B, 2^T - 1) Lemma 4's index-cycle bound, see _sparsity_half
     sparsities: np.ndarray  # (B, T) realized tr(D_t)
     mu: float  # incoherence of W
 
@@ -312,21 +312,32 @@ def _word_expand(traces, masked, rep, levels, buffers):
         below = products
 
 
-def _sparsity_half(d, b, hop, p, bound):
+def _sparsity_half(d, b, mu, sparsity, p, bound):
     """Store the path sparsities and deviation bounds of masks d (B, T, l)
     in p and bound, (B, 2^T - 1) each in combinations order. Each level's
-    joint masks and bounds are one elementwise product with its prefix's
-    row."""
+    joint masks and sparsity products are one elementwise product with
+    its prefix's row.
+
+    The bound on |tr P_I - p_I| counts index cycles: tr P_I sums, over
+    the cycles that pick one active row per hop, the products of the G
+    entries between consecutive rows, and p_I is the sum over its
+    constant cycles. A singleton has only those, so its bound is 0. For
+    |I| >= 2 there are at most prod_{t in I} s_t cycles; one that is not
+    constant has at least two off-diagonal factors, each at most mu, and
+    its others are at most max(max b, mu). So the bound is
+    (prod_{t in I} s_t) mu^2 max(max b, mu)^(|I| - 2), infinite past the
+    largest float."""
     B, T, ell = d.shape
     joint, prev = np.ones((B, 1, ell)), np.ones((B, 1))
+    mu, cap = np.float64(mu), max(b.max(), mu)  # numpy floats overflow to inf
     col = 0
     for j, level in enumerate(_subsets(T).levels, 1):
         last = level.idx[:, -1]
         joint = joint.take(level.prefix, axis=1) * d.take(last, axis=1)
-        prev = prev.take(level.prefix, axis=1) * hop.take(last, axis=1)
+        prev = prev.take(level.prefix, axis=1) * sparsity.take(last, axis=1)
         cols = slice(col, col + len(last))
         p[:, cols] = (joint * b**j).sum(axis=2)
-        bound[:, cols] = prev
+        bound[:, cols] = prev * (0.0 if j == 1 else mu**2 * cap ** (j - 2))
         col = cols.stop
 
 
@@ -338,8 +349,8 @@ def _sparsity_bytes(T: int, ell: int) -> int:
 
 
 def _path_setup(W, masks):
-    """Checked float masks (B, T, l), W W^H with its diagonal and mu, the
-    (B, T) sparsities and each hop's factor of the deviation bound."""
+    """Checked float masks (B, T, l), W W^H with its diagonal and mu, and
+    the (B, T) sparsities."""
     W = np.asarray(W, dtype=np.float64)
     d = np.asarray(masks, dtype=np.float64)
     if d.ndim != 3 or d.shape[1] < 1:
@@ -347,10 +358,7 @@ def _path_setup(W, masks):
     if d.shape[2] != W.shape[0]:
         raise DimensionMismatchError("path mask width", W.shape[0], d.shape[2])
     G, b, mu = _gram(W)
-    sparsity = d.sum(axis=2)
-    # deviation bound of a path: prod over its hops of sqrt(s) (s - 1) mu
-    hop = np.sqrt(sparsity) * np.maximum(sparsity - 1.0, 0.0) * mu
-    return d, G, b, mu, sparsity, hop
+    return d, G, b, mu, d.sum(axis=2)
 
 
 def path_table(W, masks) -> PathTable:
@@ -373,11 +381,11 @@ def path_table(W, masks) -> PathTable:
     index order, one elementwise product per subset size, for as many
     inputs at once as fit in the budget.
     """
-    d, G, b, mu, sparsity, hop = _path_setup(W, masks)
+    d, G, b, mu, sparsity = _path_setup(W, masks)
     B, T, ell = d.shape
     p, bound = np.empty((2, B, (1 << T) - 1))
     for rows in _chunks(B, _sparsity_bytes(T, ell)):
-        _sparsity_half(d[rows], b, hop[rows], p[rows], bound[rows])
+        _sparsity_half(d[rows], b, mu, sparsity[rows], p[rows], bound[rows])
     traces = np.empty((1 << T, B))  # by subset bitmask
     width = comb(T - 1, (T - 1) // 2)  # of _expand's level buffers
     levels_bytes = (T + 2 * width) * G.nbytes
@@ -406,12 +414,12 @@ def path_surrogates(W, masks, n: int):
     inputs at once as fit in the budget. Returns (surrogates (B,),
     sparsities (B, T), mu).
     """
-    d, _, b, mu, sparsity, hop = _path_setup(W, masks)
+    d, _, b, mu, sparsity = _path_setup(W, masks)
     B, T, ell = d.shape
     out = np.empty(B)
     for rows in _chunks(B, _sparsity_bytes(T, ell)):
         p, bound = np.empty((2, len(d[rows]), (1 << T) - 1))
-        _sparsity_half(d[rows], b, hop[rows], p, bound)
+        _sparsity_half(d[rows], b, mu, sparsity[rows], p, bound)
         out[rows] = alternating_sums(p, n)
     return out, sparsity, mu
 
@@ -503,7 +511,7 @@ class JacobianReport:
     def to_json(self) -> str:
         paths = [{"I": list(t.index_set), "trace": t.trace_exact, "p": t.path_sparsity,
                   "bound": t.deviation_bound} for t in self.paths]
-        return json.dumps({**self.__dict__, "paths": paths}, sort_keys=True)
+        return strict_dumps({**self.__dict__, "paths": paths}, sort_keys=True)
 
 
 def jacobian_report(

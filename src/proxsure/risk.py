@@ -236,7 +236,9 @@ def evaluate_set(
     Raises NonFiniteError, naming them, where the values computed are not
     finite, except Theorem 1's bound and the Monte-Carlo standard error of
     one probe, which may be infinite or nan by rule. The Monte-Carlo DOF
-    is drawn only where the outputs and the exact DOF are finite.
+    is drawn only where the outputs and the exact DOF are finite; an
+    input whose probes overflow gets a nan estimate and standard error,
+    which the check counts.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if Y.ndim != 2 or Y.shape[1] != op.m:
@@ -267,8 +269,13 @@ def _evaluate_set(stack, op, step, Y, sigma, max_T, mc_probes, mc_seed) -> SetEv
     )
     if mc_probes and np.isfinite(xhat).all() and np.isfinite(ev.dof).all():
         h = lambda v: unroll(v, stack, op, G_x, G_y)[0]
-        mc = [dof_monte_carlo(h, y, mc_probes, seed=[mc_seed, i]) for i, y in enumerate(Y)]
-        ev.dof_mc, ev.mc_std_error = np.array(mc).T
+        mc = np.full((len(Y), 2), np.nan)  # an input whose probes overflow stays nan
+        for i, y in enumerate(Y):
+            try:
+                mc[i] = dof_monte_carlo(h, y, mc_probes, seed=[mc_seed, i])
+            except NonFiniteError:
+                pass
+        ev.dof_mc, ev.mc_std_error = mc.T
     if sigma is not None and op.kind == "identity":
         ev.sure = sure(ev.rss, ev.dof, op.n, sigma)
     if max_T is None or expansion_error(stack, max_T, op, step) is not None:

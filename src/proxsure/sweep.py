@@ -25,6 +25,7 @@ import numpy as np
 from . import data as datamod
 from .config import ExperimentConfig, build_dataset, build_operator, build_step, config_to_text
 from .errors import NonFiniteError, ProxsureError, TrainingFailureError
+from .jsonout import strict_dumps
 from .operators import apply_operator
 from .risk import evaluate_set, mse_psnr
 from .train import train
@@ -213,6 +214,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
                 row = json.load(f)
         except (FileNotFoundError, ValueError):  # no cell file, or not JSON
             row = None
+        if isinstance(row, dict):  # the file writes nan as null
+            row = {k: math.nan if v is None else v for k, v in row.items()}
         if (isinstance(row, dict) and row.get("config_sha256") == config_sha256
                 and tuple(map(row.get, ("mode", "sigma", "n_train", "seed"))) == cell
                 and row.keys() >= set(COLUMNS)):
@@ -222,7 +225,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
         timings[_cell_name(*cell)] = time.perf_counter() - started
         tmp = path + ".tmp"
         with open(tmp, "w") as f:
-            json.dump({**row, "config_sha256": config_sha256}, f, sort_keys=True)
+            f.write(strict_dumps({**row, "config_sha256": config_sha256}, sort_keys=True))
         os.replace(tmp, path)
         return row
 
@@ -266,7 +269,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
             }
         summary_out[key] = agg
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        json.dump(summary_out, f, sort_keys=True, indent=1)
+        f.write(strict_dumps(summary_out, sort_keys=True, indent=1))
     with open(os.path.join(out_dir, "schema.json"), "w") as f:
         json.dump({"columns": COLUMNS, "docs": COLUMN_DOCS}, f, sort_keys=True, indent=1)
     with open(os.path.join(out_dir, "config.echo"), "w") as f:

@@ -6,6 +6,8 @@ must match; one residual unit with its input checks; the network with
 its masks frozen as a product of n-by-n stage matrices, which replays a
 recorded forward pass (`replay_from_trace`) and gives the Jacobian
 (`jacobian_from_trace`) that `unroll` with frozen masks must match;
+the network's forward with every product one call on the whole batch
+(`one_call_forward`), which `unroll` must match up to its slab size;
 a stack rebuilt from a weight list in flatten_weights order
 (`stack_with_weights`); the RSS identity of a linear map; the B matrix
 and the per-term deviation check of the path expansion; the
@@ -86,6 +88,20 @@ def jacobian_from_trace(masks, stack: ProximalStack, op: SensingOperator, step: 
     """d x^T / d y (n-by-m) via stage products: d x^0 / d y = Phi^H, and
     the data step's y-term has Jacobian G_y."""
     return frozen_mask_pass(masks, stack, *step_matrices(op, step), op.matrix.T, np.eye(op.m))
+
+
+def one_call_forward(y, stack: ProximalStack, op: SensingOperator, G_x, G_y) -> np.ndarray:
+    """The network without masks, every product one call on the whole
+    batch against the transposed view: x @ G_x.T + y @ G_y.T, then per
+    unit h -+ max(h @ (W or Wbar).T, 0) @ W."""
+    x = apply_operator(op, y, "adjoint")
+    for t in range(stack.T):
+        h = x if G_x is None else x @ G_x.T + y @ G_y.T
+        for W, Wbar in stack.layer_weights(t):
+            a = np.maximum(h @ (W if Wbar is None else Wbar).T, 0.0)
+            h = h - a @ W if Wbar is None else h + a @ W
+        x = h
+    return x
 
 
 def stack_with_weights(stack: ProximalStack, arrays) -> ProximalStack:

@@ -280,10 +280,14 @@ def _reference_path_expansion(trace, stack):
     sparsity = [float(d.sum()) for d in masks]
 
     def path_deviation_bound(sparsities, mu):
+        # Lemma 4's index-cycle bound: 0 for a singleton, else
+        # (prod_t s_t) mu^2 max(max b, mu)^(|I| - 2)
+        if len(sparsities) == 1:
+            return 0.0
         bound = 1.0
         for s in sparsities:
-            bound *= np.sqrt(s) * max(s - 1.0, 0.0) * mu
-        return float(bound)
+            bound *= s
+        return float(bound * (mu**2 * max(float(b.max()), mu) ** (len(sparsities) - 2)))
 
     terms = []
     for j in range(1, T + 1):
@@ -439,6 +443,18 @@ def test_path_expansion_memory_within_budget(monkeypatch, T, ell, repeated):
         tracemalloc.stop()
     assert len(terms) == 2**T - 1
     assert peak - retained <= jacobian._PRODUCT_BUDGET
+
+
+def test_path_bound_is_the_index_cycle_bound_at_low_sparsity():
+    # each hop keeps one row: the former bound, prod_t sqrt(s_t) (s_t - 1) mu,
+    # read 0 where the path deviates by mu^2 = 0.36
+    W = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+    table = path_table(W, np.array([[[True, False], [False, True]]]))
+    assert table.mu == incoherence(W)
+    assert np.allclose(table.traces, [[1.0, 1.0, 0.36]])
+    assert np.allclose(table.path_sparsity, [[1.0, 1.0, 0.0]])
+    assert table.deviation_bound[0, :2].tolist() == [0.0, 0.0]  # singletons are exact
+    assert table.deviation_bound[0, 2] == table.mu**2
 
 
 def test_path_term_repr_is_the_dataclass_repr():

@@ -16,7 +16,7 @@ from proxsure.network import (
     unroll_forward,
 )
 from proxsure.operators import StepParams, circular_operator, dft_operator, identity_operator, step_matrices
-from reference import replay_from_trace, residual_unit_forward
+from reference import one_call_forward, replay_from_trace, residual_unit_forward
 
 
 IDENTITY_STEP = StepParams("gradient", 0.0)
@@ -411,3 +411,64 @@ def test_forward_only_unroll_is_byte_equal_to_the_recorded_one(mode, symmetric, 
     assert unroll(Y, stack, op, *matrices)[0].tobytes() == x.tobytes()
     active = np.reshape([D.any(axis=-1) for _, units in rec for _, D, _ in units], (6, -1))
     assert B == 1 or not active[:, :5].any()  # Y[1] alone, or rows 0-4 of the batch
+
+
+# --- the slab rule: batches of more than SLAB rows ---------------------------
+
+
+def _slab_case(n, ell, mode, symmetric, blur):
+    stack = random_stack(n, [ell], T=3, mode=mode, symmetric=symmetric, seed=n + ell)
+    if blur:
+        op = circular_operator(np.array([0.6, 0.25, 0.15]), n=n)
+        return stack, op, step_matrices(op, StepParams("gradient", 0.1))
+    return stack, identity_operator(n), (None, None)
+
+
+SLAB_CASES = [(n, ell, mode, symmetric, blur)
+              for n, ell in [(32, 32), (16, 2), (100, 64)]
+              for mode in ("ws", "wc") for symmetric in (True, False) for blur in (False, True)]
+
+
+@pytest.mark.parametrize("n, ell, mode, symmetric, blur", SLAB_CASES)
+@pytest.mark.parametrize("B", [129, 300, 1024])
+def test_slabbed_passes_are_byte_equal_to_one_another(n, ell, mode, symmetric, blur, B):
+    # the recorded, forward-only and frozen-mask passes share one product
+    # rule, so they agree at every batch size; the frozen pass replays each
+    # row under its own recorded masks
+    stack, op, matrices = _slab_case(n, ell, mode, symmetric, blur)
+    Y = np.random.default_rng([43, n, B]).standard_normal((B, op.m))
+    x, rec = unroll(Y, stack, op, *matrices, record=True)
+    assert unroll(Y, stack, op, *matrices)[0].tobytes() == x.tobytes()
+    masks = [[D for _, D, _ in units] for _, units in rec]
+    assert unroll(Y, stack, op, *matrices, masks=masks)[0].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("n, ell, mode, symmetric, blur", SLAB_CASES)
+@pytest.mark.parametrize("B", [None, 1, 7, 128])  # None: one (m,) input
+def test_batches_up_to_a_slab_keep_one_call_products(n, ell, mode, symmetric, blur, B):
+    stack, op, matrices = _slab_case(n, ell, mode, symmetric, blur)
+    rng = np.random.default_rng([44, n, B or 0])
+    Y = rng.standard_normal((op.m,) if B is None else (B, op.m))
+    got = unroll(Y, stack, op, *matrices)[0]
+    assert got.tobytes() == one_call_forward(Y, stack, op, *matrices).tobytes()
+
+
+@pytest.mark.parametrize("mode, symmetric, blur", [("ws", True, False), ("wc", False, True)])
+@pytest.mark.parametrize("B", [128, 129])
+def test_one_contiguous_transpose_per_matrix_per_call(monkeypatch, mode, symmetric, blur, B):
+    _, op, (G_x, G_y) = _slab_case(16, 8, mode, symmetric, blur)
+    stack = random_stack(16, [8, 4], T=3, mode=mode, symmetric=symmetric, seed=45)
+    contiguous, copies = np.ascontiguousarray, []
+
+    def counting(a, *args, **kwargs):
+        copies.append(a.shape)
+        return contiguous(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", counting)
+    Y = np.random.default_rng(45).standard_normal((B, op.m))
+    unroll(Y, stack, op, G_x, G_y, record=True)
+    # one (W or Wbar).T per stored layer, and G_x.T and G_y.T, for a
+    # slabbed batch; none up to a slab
+    want = [] if G_x is None else [G_x.T.shape, G_y.T.shape]
+    want += [(W if Wbar is None else Wbar).T.shape for layers in stack.weights for W, Wbar in layers]
+    assert copies == (want if B > 128 else [])

@@ -167,6 +167,7 @@ from proxsure.operators import (
     dft_operator,
     identity_operator,
 )
+from proxsure import risk
 from proxsure.risk import evaluate_set
 
 EVAL_N = 8
@@ -428,6 +429,42 @@ def test_evaluate_set_of_an_overflowing_net_names_its_non_finite_values(size, na
     assert str(info.value) == "non-finite set evaluation: " + named
 
 
+def _overflowing_probes_of_input(monkeypatch, bad):
+    """Make the Monte-Carlo probe outputs of input `bad` overflow, as a
+    net too steep for its probe step does; h(y) itself stays finite."""
+    real = risk.dof_monte_carlo
+
+    def probing(h, y, K, delta=None, seed=0):
+        def steep(v):
+            out = h(v)
+            if out.ndim == 2 and seed[1] == bad:
+                out[-1] = np.inf
+            return out
+
+        return real(steep, y, K, delta, seed)
+
+    monkeypatch.setattr(risk, "dof_monte_carlo", probing)
+
+
+@pytest.mark.parametrize("probes, named", [
+    (8, "1 of 3 Monte-Carlo DOF, 1 of 3 Monte-Carlo standard errors"),
+    (1, "1 of 3 Monte-Carlo DOF"),  # one probe's standard error is nan by rule
+])
+def test_evaluate_set_names_the_input_whose_probes_overflow(monkeypatch, probes, named):
+    _overflowing_probes_of_input(monkeypatch, bad=1)
+    stack = random_stack(EVAL_N, [6], T=3, seed=5)
+    Y = np.random.default_rng(47).standard_normal((3, EVAL_N))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as info:
+            evaluate_set(stack, identity_operator(EVAL_N), StepParams(), Y, sigma=0.1, mc_probes=probes)
+    assert str(info.value) == "non-finite set evaluation: " + named
+    # a direct call still raises
+    h = forward_map(stack, identity_operator(EVAL_N), StepParams())
+    with pytest.raises(NonFiniteError, match="during Monte-Carlo probing"):
+        risk.dof_monte_carlo(h, Y[1], probes, seed=[0, 1])
+
+
 def test_evaluate_set_values_infinite_or_nan_by_rule_are_not_errors():
     # eps**14 passes the largest float while every other value stays
     # finite, and one probe has no standard error
@@ -439,3 +476,19 @@ def test_evaluate_set_values_infinite_or_nan_by_rule_are_not_errors():
                           mc_probes=1)
     assert ev.bound == math.inf and np.isnan(ev.mc_std_error).all()
     assert all(math.isfinite(v) for k, v in ev.columns().items() if k != "theorem1_bound")
+
+
+def test_probe_forward_at_the_dof_analysis_shape_is_the_one_call_forward():
+    # n = l = 32, T = 10, 1,024 probes of one input: the probe batch is
+    # multiplied in 128-row slabs, which on the BLAS this suite runs
+    # gives the bytes of one-call products; if a BLAS upgrade breaks
+    # that, this test fails by name before benchmark outputs drift
+    from reference import one_call_forward
+
+    n = 32
+    stack = random_stack(n, [n], T=10, mode="ws", symmetric=True, seed=0)
+    op = identity_operator(n)
+    y = np.random.default_rng(48).standard_normal(n)
+    got = dof_monte_carlo(forward_map(stack, op, StepParams()), y, 1024, seed=[0, 0])
+    want = dof_monte_carlo(lambda v: one_call_forward(v, stack, op, None, None), y, 1024, seed=[0, 0])
+    assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -853,6 +853,35 @@ def test_cli_evaluate_on_an_overflowing_net_is_one_runtime_error_line(tmp_path, 
     ]
 
 
+def test_cli_evaluate_names_the_input_whose_probes_overflow(tmp_path, capsys, monkeypatch):
+    import warnings
+
+    import numpy as np
+
+    from proxsure import risk
+
+    real = risk.dof_monte_carlo
+
+    def probing(h, y, K, delta=None, seed=0):  # input 1's probe outputs overflow
+        steep = (lambda v: np.where(v.ndim == 2, np.inf, h(v))) if seed[1] == 1 else h
+        return real(steep, y, K, delta, seed)
+
+    monkeypatch.setattr(risk, "dof_monte_carlo", probing)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY_CONFIG.replace("n_test = 8", "n_test = 3") + 'dof.estimator = "mc"\n')
+    weights = tmp_path / "w.bin"
+    save_stack(random_stack(8, [4], T=2, seed=0), weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["evaluate", str(weights), "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "runtime error: non-finite set evaluation: "
+        "1 of 3 Monte-Carlo DOF, 1 of 3 Monte-Carlo standard errors"
+    ]
+
+
 def test_evaluation_failure_recorded_in_row(tmp_path, monkeypatch):
     train_cell = sweep.train_cell
 
@@ -877,3 +906,67 @@ def test_importing_proxsure_loads_no_hashlib():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+# --- strict JSON ---------------------------------------------------------------
+
+
+def _strict(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_json_output_parses_strictly(tmp_path, capsys, monkeypatch):
+    # a ws and a wc cell: both cell files hold nan values (the Monte-Carlo
+    # column, and the surrogate columns on wc), which they write as null
+    cfg = parse_config(TINY_CONFIG.replace('["ws"]', '["ws", "wc"]'))
+    out = tmp_path / "sweep"
+    run_sweep(cfg, out)
+    fresh = {name: (out / name).read_bytes() for name in ("sweep.csv", "summary.json", "schema.json")}
+    cells = sorted(out.glob("cell_*.json"))
+    rows = [_strict(p.read_text()) for p in cells]
+    assert all(None in row.values() for row in rows)
+    for name in ("summary.json", "schema.json"):
+        _strict((out / name).read_text())
+    # resume reads null back as nan: the same artifacts, and no cell rerun
+    before = [p.stat().st_mtime_ns for p in cells]
+    run_sweep(cfg, out)
+    assert {name: (out / name).read_bytes() for name in fresh} == fresh
+    assert [p.stat().st_mtime_ns for p in cells] == before
+
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(TINY_CONFIG)
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    summary = _strict(capsys.readouterr().out.strip().splitlines()[-1])
+    assert _strict((tmp_path / "run" / "train.json").read_text()) == summary
+
+    # Theorem 1's bound is infinite by rule past the largest float
+    evaluate = cli.evaluate_set
+
+    def unbounded(*args, **kwargs):
+        ev = evaluate(*args, **kwargs)
+        ev.bound = float("inf")
+        return ev
+
+    monkeypatch.setattr(cli, "evaluate_set", unbounded)
+    assert cli.main(["evaluate", summary["weights"], "--config", str(cfg_path)]) == 0
+    assert _strict(capsys.readouterr().out)["theorem1_bound"] is None
+
+    assert cli.main(["verify", "theorem1", "--trials", "3", "--out", str(tmp_path / "v")]) == 0
+    assert _strict(capsys.readouterr().out) == _strict((tmp_path / "v" / "verify_theorem1.json").read_text())
+
+
+def test_reports_write_non_finite_values_as_null():
+    from proxsure.jacobian import JacobianReport, PathTerm
+    from proxsure.verify import VerifyReport
+
+    inf = float("inf")
+    report = JacobianReport(n=2, T=2, trace=1.0, mu_w=1e200, rho=[2.0, 2.0], epsilon=inf,
+                            surrogate=1.0, bound=inf, valid=False,
+                            paths=[PathTerm((1, 2), 1.0, 0.5, inf, (2.0, 2.0))])
+    payload = _strict(report.to_json())
+    assert payload["epsilon"] is payload["bound"] is payload["paths"][0]["bound"] is None
+    verify = VerifyReport("lemma4", 1, 0.0, 1e-12, True, details={"max_ratio": float("nan")})
+    assert _strict(verify.to_json())["max_ratio"] is None
