@@ -52,12 +52,25 @@ def _seed_seq(seed) -> list[int]:
     return list(seed) if isinstance(seed, (tuple, list)) else [seed]
 
 
+def seeded_rng(*words) -> np.random.Generator:
+    """np.random.default_rng(list(words)), the same stream, built faster.
+
+    Integer words in [0, 2**32) go in as one uint32 array, which numpy
+    coerces once instead of word by word. Any other word keeps the list,
+    which splits a large word into 32-bit words and rejects a negative
+    or non-integer one."""
+    array = np.array(words)
+    if array.dtype.kind in "iu" and 0 <= min(words) and max(words) < 2**32:
+        return np.random.default_rng(array.astype(np.uint32))
+    return np.random.default_rng(list(words))
+
+
 def _basis_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(_seed_seq(seed) + [0])
+    return seeded_rng(*_seed_seq(seed), 0)
 
 
 def _sample_rng(seed, i: int) -> np.random.Generator:
-    return np.random.default_rng(_seed_seq(seed) + [1, i])
+    return seeded_rng(*_seed_seq(seed), 1, i)
 
 
 def generate_subspace_data(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, DatasetHeaderError, DatasetTruncatedError
-from .operators import SensingOperator, StepParams, apply_operator, step_matrices
+from .operators import SensingOperator, StepParams, _check_len, apply_operator, step_matrices
 
 MAGIC = b"SUNW1"
 
@@ -147,14 +147,14 @@ def _product(a, M):
     return out
 
 
-def _unit(h, W, Wbar, D=None, forward_only=False, pre=None, mul=np.matmul):
+def _unit(h, W, Wbar, D=None, forward_only=False, pre=None, mul=np.dot):
     """One residual unit; returns (h', D, a) with a = D * (Wbar h) the
     ReLU output that the backward pass reuses. D is the given mask, or
     1{Wbar h > 0} when None. A forward_only call builds no mask: it
     returns D None and applies ReLU as max(a, 0), which gives the same h'
     bit for bit wherever the pre-activations are finite. pre is the
     right factor of the pre-activation product, (W or Wbar).T by default,
-    and mul multiplies: np.matmul, or `_product` for a slabbed batch.
+    and mul multiplies: np.dot, or `_product` for a slabbed batch.
 
     a is written into the pre-activation buffer and h' into the a @ W
     product, so a call allocates only the arrays it returns; h is read,
@@ -183,16 +183,23 @@ def unroll(y, stack: ProximalStack, op: SensingOperator, G_x, G_y, record: bool 
     (x_in, units) tuple per iteration with units[k] = (h, D, a) the
     input, mask and ReLU output of unit k.
 
-    A batch of at most SLAB rows is multiplied with one np.matmul per
-    product; a larger one through `_product`, in slabs against
-    C-contiguous copies of W.T, Wbar.T, G_x.T and G_y.T made once per
-    call. The rule depends on B alone, so every pass at a given B
-    multiplies alike.
+    A batch of at most SLAB rows is multiplied with one np.dot per
+    product (the BLAS call of np.matmul without its dispatch); a larger
+    one through `_product`, in slabs against C-contiguous copies of W.T,
+    Wbar.T, G_x.T and G_y.T made once per call. The rule depends on B
+    alone, so every pass at a given B multiplies alike.
+
+    On the identity x^0 is y itself, not a copy (with apply_operator's
+    length check), so no pass may write into y or the record's arrays.
     """
-    x = apply_operator(op, y, "adjoint")
+    if op.kind == "identity":
+        _check_len(y, op.m, "identity adjoint input")
+        x = y
+    else:
+        x = apply_operator(op, y, "adjoint")
     rec = [] if record else None
     slabbed = y.ndim == 2 and len(y) > SLAB
-    mul = _product if slabbed else np.matmul
+    mul = _product if slabbed else np.dot
 
     def right(M):  # M.T; one C-contiguous copy per call for a slabbed batch
         return np.ascontiguousarray(M.T) if slabbed else M.T

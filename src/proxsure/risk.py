@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import seeded_rng
 from .errors import DimensionMismatchError, NonFiniteError
 from .jacobian import _check_finite, expansion_error, jacobian_trace_exact, path_surrogates, theorem1_bound
 from .network import ProximalStack, unroll
@@ -72,7 +73,8 @@ def dof_monte_carlo(
     """Probe estimator (1/K) sum_k e_k^T [h(y + d e_k) - h(y)] / d.
 
     The probes e_k are Rademacher (+-1): the rows of one (K, n) draw from
-    default_rng(seed) (an int or a sequence of ints). The draw is
+    default_rng(seed) (an int or a sequence of ints, which
+    `data.seeded_rng` turns into that generator). The draw is
     prefix-stable: probe k is the same for every K > k. Returns
     (estimate, standard error); one probe has no spread, so its standard
     error is nan.
@@ -84,7 +86,7 @@ def dof_monte_carlo(
     base = _output(h, y)
     if delta is None:
         delta = default_mc_delta(y)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(*seed) if isinstance(seed, (list, tuple)) else np.random.default_rng(seed)
     probes = rng.integers(0, 2, size=(K, n)) * 2.0
     probes -= 1.0
     shifted = delta * probes

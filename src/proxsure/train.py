@@ -38,25 +38,32 @@ def loss_and_gradients(
     that step_matrices(op, step) returns; a caller that takes many steps
     with one operator and step computes it once and passes it here.
     """
-    X = np.atleast_2d(np.asarray(x_true, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    X = np.asarray(x_true, dtype=np.float64)
+    Y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        X = np.atleast_2d(X)
+    if Y.ndim != 2:
+        Y = np.atleast_2d(Y)
     if X.shape[0] != Y.shape[0] or X.shape[0] == 0:
         raise ValueError("batch of (x, y) pairs must be nonempty and aligned")
     B = X.shape[0]
     G_x, G_y = step_matrices(op, step) if matrices is None else matrices
     xhat, record = unroll(Y, stack, op, G_x, G_y, record=True)
-    diff = xhat - X
+    diff = np.subtract(xhat, X, out=xhat)
     loss = float((diff**2).sum() / B)
     if not math.isfinite(loss):
         bad = int(np.flatnonzero(~np.isfinite(np.sum(diff**2, axis=1)))[0])
         raise NonFiniteError(f"non-finite loss at batch sample {bad}")
 
     # grads[i] accumulates flatten_weights(stack)[i]: weight set wi, layer
-    # k and slot (0 = W, 1 = Wbar) sit at (wi * K + k) * slots + slot
+    # k and slot (0 = W, 1 = Wbar) sit at (wi * K + k) * slots + slot.
+    # Each starts at 0.0, so its first sum is 0.0 - X or 0.0 + X, whose
+    # zeros are +0.0 where -X would give -0.0
     slots = 1 if stack.symmetric else 2
     K = stack.K
     grads = [0.0] * (len(stack.weights) * K * slots)
-    g = 2.0 * diff / B
+    g = np.multiply(diff, 2.0, out=diff)
+    g /= B
     for t in reversed(range(stack.T)):
         wi = 0 if stack.mode == "ws" else t
         layers = stack.layer_weights(t)
@@ -66,22 +73,28 @@ def loss_and_gradients(
             i = (wi * K + k) * slots
             # nothing reads the gradient with respect to the first unit's input
             first = t == 0 and k == 0
+            # each line is a textbook expression in its order of operations,
+            # written into an array this pass owns. e = D * (g @ W.T) is the
+            # general unit's pre-activation gradient dz, and the symmetric
+            # unit's -dz: negation is exact, so its lines equal the textbook
+            # grads + (dz^T h - a^T g) and g + dz W
+            e = np.dot(g, W.T)
+            e *= D
             if Wbar is None:
-                # e = -dz, the unit's pre-activation gradient, carried with
-                # its sign flipped: negation is exact, so both lines equal
-                # the textbook grads + (dz^T h - a^T g) and g + dz W
-                e = D * (g @ W.T)
-                grads[i] = grads[i] - (e.T @ h_in + a.T @ g)
+                s = np.dot(e.T, h_in)
+                s += np.dot(a.T, g)
+                grads[i] = np.subtract(grads[i], s, out=s)
                 if not first:
-                    g = g - e @ W
+                    np.subtract(g, np.dot(e, W), out=g)
             else:
-                dz = D * (g @ W.T)
-                grads[i] = grads[i] + a.T @ g
-                grads[i + 1] = grads[i + 1] + dz.T @ h_in
+                s = np.dot(a.T, g)
+                grads[i] = np.add(grads[i], s, out=s)
+                s = np.dot(e.T, h_in)
+                grads[i + 1] = np.add(grads[i + 1], s, out=s)
                 if not first:
-                    g = g + dz @ Wbar
+                    np.add(g, np.dot(e, Wbar), out=g)
         if t > 0 and G_x is not None:
-            g = g @ G_x
+            g = np.dot(g, G_x)
     return loss, grads
 
 
@@ -212,7 +225,8 @@ def train(
                     except NonFiniteError:
                         failed = True
                         break
-                    flat_grad = np.concatenate([g.ravel() for g in grads])
+                    flat_grad = (grads[0].ravel() if len(grads) == 1
+                                 else np.concatenate([g.ravel() for g in grads]))
                     new, state = adam_step(state, [stack.flat], [flat_grad])
                     stack.flat[:] = new[0]
                     epoch_loss += loss * len(idx)

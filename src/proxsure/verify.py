@@ -352,7 +352,7 @@ def verify_sure_unbiased(
     # 128 draws per pass bound the batched forward's temporaries and record
     for lo in range(0, draws, 128):
         batch = range(lo, min(lo + 128, draws))
-        noise = np.array([np.random.default_rng([seed, 40, d]).standard_normal(n) for d in batch])
+        noise = np.array([datamod.seeded_rng(seed, 40, d).standard_normal(n) for d in batch])
         ev = evaluate_set(result.stack, op, step, x + sigma * noise, sigma)
         diffs[batch] = ev.sure - np.sum((ev.xhat - x) ** 2, axis=1)
     mean_gap = float(diffs.mean())

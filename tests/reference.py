@@ -8,8 +8,10 @@ recorded forward pass (`replay_from_trace`) and gives the Jacobian
 (`jacobian_from_trace`) that `unroll` with frozen masks must match;
 the network's forward with every product one call on the whole batch
 (`one_call_forward`), which `unroll` must match up to its slab size;
-a stack rebuilt from a weight list in flatten_weights order
-(`stack_with_weights`); the RSS identity of a linear map; the B matrix
+a minibatch's loss and gradients as plain expressions, forward and
+backward (`textbook_loss_and_gradients`), which `loss_and_gradients`
+must match byte for byte; a stack rebuilt from a weight list in
+flatten_weights order (`stack_with_weights`); the RSS identity of a linear map; the B matrix
 and the per-term deviation check of the path expansion; the
 alternating path-sparsity sum over a term list (`dof_surrogate`), the
 oracle for the batched `path_surrogates`; one input drawn away from
@@ -102,6 +104,56 @@ def one_call_forward(y, stack: ProximalStack, op: SensingOperator, G_x, G_y) -> 
             h = h - a @ W if Wbar is None else h + a @ W
         x = h
     return x
+
+
+def textbook_loss_and_gradients(stack: ProximalStack, x_true, y, op: SensingOperator,
+                                step: StepParams):
+    """Mean squared loss and gradients (flatten_weights order) of the
+    batch (x_true, y), every line a plain expression that makes a new
+    array. The forward records each unit's input h, mask D and ReLU
+    output a; the backward carries g = dL/dh with, per unit,
+    e = D * (g @ W.T) and
+      symmetric: grads -= e.T @ h + a.T @ g, g = g - e @ W;
+      general:   grads += a.T @ g (W), e.T @ h (Wbar), g = g + e @ Wbar;
+    and g @ G_x between iterations. Every sum starts from 0.0."""
+    X, Y = np.atleast_2d(x_true), np.atleast_2d(y)
+    B = X.shape[0]
+    G_x, G_y = step_matrices(op, step)
+    x = apply_operator(op, Y, "adjoint")
+    record = []
+    for t in range(stack.T):
+        h = x if G_x is None else x @ G_x.T + Y @ G_y.T
+        units = []
+        for W, Wbar in stack.layer_weights(t):
+            a = h @ (W if Wbar is None else Wbar).T
+            D = a > 0.0
+            a = a * D
+            units.append((h, D, a))
+            h = h - a @ W if Wbar is None else h + a @ W
+        record.append(units)
+        x = h
+    diff = x - X
+    loss = float((diff**2).sum() / B)
+    slots = 1 if stack.symmetric else 2
+    grads = [0.0] * (len(stack.weights) * stack.K * slots)
+    g = 2.0 * diff / B
+    for t in reversed(range(stack.T)):
+        wi = 0 if stack.mode == "ws" else t
+        for k in reversed(range(stack.K)):
+            W, Wbar = stack.layer_weights(t)[k]
+            h, D, a = record[t][k]
+            i = (wi * stack.K + k) * slots
+            e = D * (g @ W.T)
+            if Wbar is None:
+                grads[i] = grads[i] - (e.T @ h + a.T @ g)
+                g = g - e @ W
+            else:
+                grads[i] = grads[i] + a.T @ g
+                grads[i + 1] = grads[i + 1] + e.T @ h
+                g = g + e @ Wbar
+        if t > 0 and G_x is not None:
+            g = g @ G_x
+    return loss, grads
 
 
 def stack_with_weights(stack: ProximalStack, arrays) -> ProximalStack:

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxsure.data import (
+    TEST_OFFSET,
+    _sample_rng,
     add_noise,
     generate_sparse_data,
     generate_subspace_data,
@@ -11,6 +13,7 @@ from proxsure.data import (
     noisy_split,
     sample_correlation,
     save_dataset,
+    seeded_rng,
 )
 from proxsure.errors import (
     DatasetChecksumError,
@@ -205,3 +208,66 @@ def test_save_dataset_rejects_seed_outside_one_int64_word(tmp_path):
     with pytest.raises(ValueError, match=r"\(1, 2\)"):
         save_dataset(ds, tmp_path / "ds.bin")
     assert not (tmp_path / "ds.bin").exists()
+
+
+# --- seeding: every generator is the list-seeded default_rng stream ------
+
+# seeds whose words include 0, 2**32 - 1 and tuples; 2**32 and 2**40 are
+# split into 32-bit words by the list path
+SEEDS = [0, 7, 2**32 - 1, (3, 4), (2**32 - 1, 0), 2**32, (5, 2**40)]
+
+
+def _words(seed):
+    return list(seed) if isinstance(seed, tuple) else [seed]
+
+
+def _list_rng(*words):
+    return np.random.default_rng(list(words))
+
+
+@pytest.mark.parametrize("words", [(0,), (2**32 - 1,), (0, 1, TEST_OFFSET + 3), (3, 4, 1, 2**32 - 1),
+                                   (2**32,), (2**40, 1), (5, 2**32 + 7), (True,)])
+def test_seeded_rng_is_the_list_seeded_stream(words):
+    got, want = seeded_rng(*words), _list_rng(*words)
+    assert got.standard_normal(6).tobytes() == want.standard_normal(6).tobytes()
+    assert got.integers(0, 2, size=9).tobytes() == want.integers(0, 2, size=9).tobytes()
+
+
+@pytest.mark.parametrize("words", [(-1,), (3, -2), (1.5,), (2, 0.0)])
+def test_seeded_rng_rejects_what_the_list_seed_rejects(words):
+    with pytest.raises((ValueError, TypeError)) as want:
+        _list_rng(*words)
+    with pytest.raises(want.type, match=str(want.value)):
+        seeded_rng(*words)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generators_draw_the_list_seeded_streams(seed):
+    n, r, dict_size, k, N = 8, 3, 12, 2, 4
+    U, _ = np.linalg.qr(_list_rng(*_words(seed), 0).standard_normal((n, r)))
+    A = _list_rng(*_words(seed), 0).standard_normal((n, dict_size))
+    A /= np.linalg.norm(A, axis=0)
+    for offset in (0, TEST_OFFSET):
+        subspace, sparse = [], []
+        for i in range(offset, offset + N):
+            assert (_sample_rng(seed, i).standard_normal(5).tobytes()
+                    == _list_rng(*_words(seed), 1, i).standard_normal(5).tobytes())
+            x = U @ _list_rng(*_words(seed), 1, i).standard_normal(r)
+            subspace.append(x / np.linalg.norm(x))
+            rng = _list_rng(*_words(seed), 1, i)
+            x = A[:, rng.choice(dict_size, size=k, replace=False)] @ rng.standard_normal(k)
+            sparse.append(x / np.linalg.norm(x))
+        got = generate_subspace_data(n, r, N, seed=seed, offset=offset).samples
+        assert got.tobytes() == np.array(subspace).tobytes()
+        got = generate_sparse_data(n, dict_size, k, N, seed=seed, offset=offset).samples
+        assert got.tobytes() == np.array(sparse).tobytes()
+    x = np.arange(3 * n, dtype=np.float64).reshape(3, n)
+    noise = [_list_rng(*_words(seed), 1, i).standard_normal(n) for i in range(3)]
+    assert add_noise(x, 0.3, seed=seed).tobytes() == (x + 0.3 * np.array(noise)).tobytes()
+
+
+def test_a_negative_seed_raises_as_the_list_seed_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        generate_subspace_data(4, 2, 3, seed=-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        add_noise(np.zeros((2, 4)), 0.1, seed=(3, -1))

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -337,7 +338,15 @@ def test_jacobian_report_json_equals_the_per_subset_reference(T, ell):
     op = identity_operator(n)
     _, tr = unroll_forward(rng.standard_normal(n), stack, op, STEP0, record=True)
     assert 0 < sum(m[0].sum() for m in tr) < T * ell  # some units on, some off
-    assert jacobian_report(tr, stack, op, STEP0).to_json() == _reference_report_json(tr, stack, op)
+    got, want = jacobian_report(tr, stack, op, STEP0).to_json(), _reference_report_json(tr, stack, op)
+    # pytest's diff of two strings of up to a megabyte runs for minutes:
+    # compare digests, and on a mismatch name the first entry that differs
+    if hashlib.sha256(got.encode()).digest() != hashlib.sha256(want.encode()).digest():
+        got, want = json.loads(got), json.loads(want)
+        paths = got.pop("paths"), want.pop("paths")
+        for i, (g, w) in enumerate(zip(*paths)):
+            assert json.dumps(g) == json.dumps(w), f"paths[{i}] is the first entry that differs"
+        pytest.fail(f"{len(paths[0])} against {len(paths[1])} paths, and outside them {got} against {want}")
 
 
 def _random_masked_net(rng, T, ell, n, scale=1.0):
@@ -686,7 +695,15 @@ def test_repeated_masks_match_the_per_subset_reference(monkeypatch, T, pattern):
     op = identity_operator(n)
     tr = trace_from_masks(_pattern_masks(rng, pattern, T, ell))
     runs = _count_calls(monkeypatch, "_word_expand")
-    assert jacobian_report(tr, stack, op, STEP0).to_json() == _reference_report_json(tr, stack, op)
+    got, want = jacobian_report(tr, stack, op, STEP0).to_json(), _reference_report_json(tr, stack, op)
+    # pytest's diff of two strings of up to a megabyte runs for minutes:
+    # compare digests, and on a mismatch name the first entry that differs
+    if hashlib.sha256(got.encode()).digest() != hashlib.sha256(want.encode()).digest():
+        got, want = json.loads(got), json.loads(want)
+        paths = got.pop("paths"), want.pop("paths")
+        for i, (g, w) in enumerate(zip(*paths)):
+            assert json.dumps(g) == json.dumps(w), f"paths[{i}] is the first entry that differs"
+        pytest.fail(f"{len(paths[0])} against {len(paths[1])} paths, and outside them {got} against {want}")
     _assert_matches_reference(stack, tr)
     assert len(runs) == 2 * (T in word_T)
     batch = np.array([_pattern_masks(rng, p, T, ell) for p in PATTERNS])

@@ -472,3 +472,53 @@ def test_one_contiguous_transpose_per_matrix_per_call(monkeypatch, mode, symmetr
     want = [] if G_x is None else [G_x.T.shape, G_y.T.shape]
     want += [(W if Wbar is None else Wbar).T.shape for layers in stack.weights for W, Wbar in layers]
     assert copies == (want if B > 128 else [])
+
+
+def _read_only(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("kind", ["identity", "circular"])
+@pytest.mark.parametrize("step", [IDENTITY_STEP, StepParams("gradient", 0.3)], ids=["skipped", "gradient"])
+def test_no_pass_writes_into_its_inputs(kind, step):
+    """On the identity x^0 is y itself, so every pass must only read y:
+    a write into these read-only inputs would raise."""
+    from proxsure.risk import evaluate_set, sure_report
+    from proxsure.train import loss_and_gradients, train
+
+    n = 8
+    op = identity_operator(n) if kind == "identity" else circular_operator(np.array([0.6, 0.25, 0.15]), n=n)
+    G = step_matrices(op, step)
+    rng = np.random.default_rng(60)
+    X, Y = _read_only(rng.standard_normal((300, n))), _read_only(rng.standard_normal((300, n)))
+    for mode, symmetric in (("ws", True), ("wc", False)):
+        stack = random_stack(n, [6, 4], T=3, mode=mode, symmetric=symmetric, seed=61)
+        _, masks = unroll_forward(Y[0], stack, op, step)
+        for rows in (Y[0], Y[:8], Y):  # one input, a minibatch, a slabbed batch
+            unroll(rows, stack, op, *G, record=True)
+            unroll(rows, stack, op, *G)
+            unroll(rows, stack, op, *G, masks=masks)
+        unroll(_read_only(np.eye(n)), stack, op, *G, masks=masks)
+        loss_and_gradients(stack, X[0], Y[0], op, step)
+        loss_and_gradients(stack, X[:8], Y[:8], op, step)
+        evaluate_set(stack, op, step, Y[:4], sigma=0.1, mc_probes=8)
+        sure_report(forward_map(stack, op, step), Y[0], 0.1, mc_probes=8)
+        train(X[:20], Y[:20], X[20:28], Y[20:28], op, step, hidden=[6, 4], T=3, mode=mode,
+              symmetric=symmetric, lr_grid=[1e-3], epochs=2, batch=8, seed=62)
+
+
+@pytest.mark.parametrize("kind", ["identity", "circular"])
+def test_a_measurement_of_the_wrong_length_is_a_dimension_mismatch(kind):
+    from proxsure.errors import DimensionMismatchError
+    from proxsure.risk import dof_monte_carlo
+
+    n = 8
+    op = identity_operator(n) if kind == "identity" else circular_operator(np.array([0.6, 0.25, 0.15]), n=n)
+    h = forward_map(random_stack(n, [6], T=2, seed=63), op, IDENTITY_STEP)
+    for y in (np.zeros(n + 1), np.zeros((3, n - 1))):
+        with pytest.raises(DimensionMismatchError, match=f"{kind} adjoint input"):
+            h(y)
+        with pytest.raises(DimensionMismatchError, match=f"{kind} adjoint input"):
+            dof_monte_carlo(h, y, 4)

@@ -492,3 +492,23 @@ def test_probe_forward_at_the_dof_analysis_shape_is_the_one_call_forward():
     got = dof_monte_carlo(forward_map(stack, op, StepParams()), y, 1024, seed=[0, 0])
     want = dof_monte_carlo(lambda v: one_call_forward(v, stack, op, None, None), y, 1024, seed=[0, 0])
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _list_seeded(*words):
+    return np.random.default_rng(list(words))
+
+
+@pytest.mark.parametrize("mc_seed", [0, 2**32 - 1, 2**32])
+def test_evaluate_set_probes_are_the_list_seeded_streams(monkeypatch, mc_seed):
+    """Input i's probes are the stream of default_rng([mc_seed, i])."""
+    stack = random_stack(EVAL_N, [6], T=3, seed=5)
+    Y = np.random.default_rng(48).standard_normal((3, EVAL_N))
+    args = (stack, identity_operator(EVAL_N), StepParams(), Y)
+    got = evaluate_set(*args, mc_probes=16, mc_seed=mc_seed)
+    monkeypatch.setattr(risk, "seeded_rng", _list_seeded)
+    want = evaluate_set(*args, mc_probes=16, mc_seed=mc_seed)
+    assert got.dof_mc.tobytes() == want.dof_mc.tobytes()
+    assert got.mc_std_error.tobytes() == want.mc_std_error.tobytes()
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        evaluate_set(*args, mc_probes=16, mc_seed=-1)

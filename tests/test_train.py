@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from proxsure.train import (
     projection_objective,
     train,
 )
-from reference import stack_with_weights
+from reference import stack_with_weights, textbook_loss_and_gradients
 
 STEP0 = StepParams("gradient", 0.0)
+BLUR = np.array([0.6, 0.25, 0.15])
 
 
 def central_difference_grads(stack, x, y, op, step, h=1e-5):
@@ -278,9 +281,10 @@ def test_fixed_point_jacobian_orthonormal_rows():
 @np.errstate(over="ignore", invalid="ignore")  # as train() runs a diverging lr
 def _reference_train(x, y, x_test, y_test, op, step, hidden, T, mode, symmetric,
                      lr_grid, epochs, batch, seed):
-    """train() spelled out with the public step functions, one weight list
-    and one rebuilt stack per minibatch. Returns, per learning rate, the
-    final weights and the train-loss history, or None if it diverged."""
+    """train() spelled out with the plain-expression loss and gradients
+    and the public Adam step, one weight list and one rebuilt stack per
+    minibatch. Returns, per learning rate, the final weights and the
+    train-loss history, or None if it diverged."""
     from proxsure.network import forward_map
 
     runs = []
@@ -298,7 +302,7 @@ def _reference_train(x, y, x_test, y_test, op, step, hidden, T, mode, symmetric,
                 for start in range(0, len(x), batch):
                     idx = order[start : start + batch]
                     stack = stack_with_weights(stack, weights)
-                    loss, grads = loss_and_gradients(stack, x[idx], y[idx], op, step)
+                    loss, grads = textbook_loss_and_gradients(stack, x[idx], y[idx], op, step)
                     weights, state = adam_step(state, weights, grads)
                     total += loss * len(idx)
                     seen += len(idx)
@@ -313,28 +317,29 @@ def _reference_train(x, y, x_test, y_test, op, step, hidden, T, mode, symmetric,
 
 @pytest.mark.parametrize("mode", ["ws", "wc"])
 @pytest.mark.parametrize("symmetric", [True, False])
-@pytest.mark.parametrize("step", [StepParams("gradient", 0.3), StepParams("ls", 0.4)],
-                         ids=["gradient", "ls"])
+@pytest.mark.parametrize("step", [StepParams("gradient", 0.3), StepParams("ls", 0.4), STEP0],
+                         ids=["gradient", "ls", "skipped"])
 def test_train_matches_reference_loop_bit_for_bit(mode, symmetric, step):
     n = 6
     x, y = _toy_problem(seed=3, N=24, n=n)
-    op = identity_operator(n)
     lr_grid = [1e-3, 1e150, 3e-3]
-    kwargs = dict(hidden=[5, 3], T=2, mode=mode, symmetric=symmetric,
-                  lr_grid=lr_grid, epochs=3, batch=5, seed=11)
-    result = train(x[:16], y[:16], x[16:], y[16:], op, step, **kwargs)
-    runs = _reference_train(x[:16], y[:16], x[16:], y[16:], op, step, **kwargs)
+    # one layer of a symmetric ws stack is the one-gradient-array case
+    for op, hidden in product((identity_operator(n), circular_operator(BLUR, n=n)), ([5], [5, 3])):
+        kwargs = dict(hidden=hidden, T=2, mode=mode, symmetric=symmetric,
+                      lr_grid=lr_grid, epochs=3, batch=5, seed=11)
+        result = train(x[:16], y[:16], x[16:], y[16:], op, step, **kwargs)
+        runs = _reference_train(x[:16], y[:16], x[16:], y[16:], op, step, **kwargs)
 
-    assert runs[1] is None and result.diverged_lrs == [1e150]
-    finite = {lr: run for lr, run in zip(lr_grid, runs) if run is not None}
-    assert result.lr == min(finite, key=lambda lr: finite[lr][2])
-    weights, losses, mse = finite[result.lr]
-    assert result.train_loss == losses
-    assert np.isclose(result.test_mse[-1], mse, rtol=1e-9)
-    got = flatten_weights(result.stack)
-    assert len(got) == len(weights)
-    for a, b in zip(got, weights):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert runs[1] is None and result.diverged_lrs == [1e150]
+        finite = {lr: run for lr, run in zip(lr_grid, runs) if run is not None}
+        assert result.lr == min(finite, key=lambda lr: finite[lr][2])
+        weights, losses, mse = finite[result.lr]
+        assert result.train_loss == losses
+        assert np.isclose(result.test_mse[-1], mse, rtol=1e-9)
+        got = flatten_weights(result.stack)
+        assert len(got) == len(weights)
+        for a, b in zip(got, weights):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_train_builds_step_matrices_once_and_steps_once_per_batch(monkeypatch):
@@ -483,6 +488,29 @@ def test_loss_and_gradients_equal_the_textbook_backward_bit_for_bit(
     assert len(grads) == len(want_grads)
     for a, b in zip(grads, want_grads):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["ws", "wc"])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("step", [STEP0, StepParams("gradient", 0.3), StepParams("ls", 0.4)],
+                         ids=["skipped", "gradient", "ls"])
+@pytest.mark.parametrize("kind", ["identity", "circular"])
+def test_loss_and_gradients_equal_the_plain_expressions_byte_for_byte(mode, symmetric, step, kind):
+    """The forward and the in-place backward give the bytes of the plain
+    expressions, K in {1, 2}, T in {1, 3} and B in {1, 5, 8}; B = 1 is
+    passed as one (n,) vector."""
+    n = 6
+    op = identity_operator(n) if kind == "identity" else circular_operator(BLUR, n=n)
+    x, y = _toy_problem(seed=17, N=8, n=n)
+    y[2] = 0.0  # a zero measurement row drives whole masks off, so exact zeros occur
+    for hidden in ([5], [5, 3]):
+        for T in (1, 3):
+            stack = random_stack(n, hidden, T=T, mode=mode, symmetric=symmetric, seed=13)
+            for X, Y in ((x[0], y[0]), (x[:5], y[:5]), (x, y)):
+                loss, grads = loss_and_gradients(stack, X, Y, op, step)
+                want_loss, want_grads = textbook_loss_and_gradients(stack, X, Y, op, step)
+                assert loss == want_loss
+                assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
 
 
 def test_adam_checks_entries_not_their_sum_and_leaves_inputs_unchanged():

@@ -133,3 +133,15 @@ def test_lemma4_holds_at_low_sparsity(ell):
     report = verify_lemma4(trials=100, ells=(ell,))
     assert report.passed and report.max_violation <= report.tolerance
     assert 0.0 < report.details["max_ratio"] <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1])
+def test_sure_unbiased_draws_are_the_list_seeded_streams(monkeypatch, seed):
+    """The check's data and noise draws are the streams of list-seeded
+    default_rng calls: its report is the same with the list rule."""
+    from proxsure import data
+    from proxsure.verify import verify_sure_unbiased
+
+    got = verify_sure_unbiased(n=16, draws=130, seed=seed).to_json()
+    monkeypatch.setattr(data, "seeded_rng", lambda *words: np.random.default_rng(list(words)))
+    assert verify_sure_unbiased(n=16, draws=130, seed=seed).to_json() == got
