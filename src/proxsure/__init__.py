@@ -17,7 +17,6 @@ from .jacobian import (
     PathTable,
     PathTerm,
     accumulate_jacobian,
-    incoherence,
     jacobian_report,
     jacobian_trace_exact,
     path_expansion,

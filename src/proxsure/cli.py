@@ -152,7 +152,7 @@ def _cmd_jacobian_report(args) -> int:
     except json.JSONDecodeError:
         y = None
     if not isinstance(y, list) or not all(map(_number, y)):
-        print("usage error: jacobian-report input must be a JSON array of numbers", file=sys.stderr)
+        print("usage error: jacobian-report input must be a JSON array of finite numbers", file=sys.stderr)
         return 1
     cfg, stack, op, step = _load_net(args)
     _, masks = unroll_forward(y, stack, op, step, record=True)

@@ -9,6 +9,7 @@ echoes back to canonical text that re-parses to an equal config.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, asdict
 
 from .errors import ConfigError
@@ -62,16 +63,18 @@ class ExperimentConfig:
 
 
 def _number(x, kinds=(int, float)) -> bool:
-    return isinstance(x, kinds) and not isinstance(x, bool)
+    """A JSON number that is a finite float64: json.loads also parses NaN,
+    Infinity and integers past the largest float."""
+    return isinstance(x, kinds) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 _SCHEMA = {
     "operator.kind": ("operator_kind", str, lambda v: v in ("identity", "dense", "circular", "dft"), "one of identity/dense/circular/dft"),
-    "operator.kernel": ("operator_kernel", list, lambda v: all(map(_number, v)), "a flat list of numbers"),
+    "operator.kernel": ("operator_kernel", list, lambda v: all(map(_number, v)), "a flat list of finite numbers"),
     "operator.omega": ("operator_omega", list, lambda v: all(_number(x, int) for x in v), "a flat list of integers"),
-    "operator.matrix": ("operator_matrix", list, lambda v: all(isinstance(r, list) and r and len(r) == len(v[0]) and all(map(_number, r)) for r in v), "equal-length non-empty rows of numbers"),
-    "sigma": ("sigma", list, lambda v: len(v) > 0 and all(_number(s) and s > 0 for s in v), "positive number(s)"),
-    "sigma_pixel": ("sigma_pixel", list, lambda v: all(_number(s) and s > 0 for s in v), "positive number(s)"),
+    "operator.matrix": ("operator_matrix", list, lambda v: all(isinstance(r, list) and r and len(r) == len(v[0]) and all(map(_number, r)) for r in v), "equal-length non-empty rows of finite numbers"),
+    "sigma": ("sigma", list, lambda v: len(v) > 0 and all(_number(s) and s > 0 for s in v), "positive finite number(s)"),
+    "sigma_pixel": ("sigma_pixel", list, lambda v: all(_number(s) and s > 0 for s in v), "positive finite number(s)"),
     "n": ("n", int, lambda v: v >= 1, ">= 1"),
     "data.kind": ("data_kind", str, lambda v: v in ("subspace", "sparse"), "subspace or sparse"),
     "data.rank": ("data_rank", int, lambda v: v >= 1, ">= 1"),
@@ -84,8 +87,8 @@ _SCHEMA = {
     "model.mode": ("model_mode", list, lambda v: len(v) > 0 and all(m in ("ws", "wc") for m in v), "subset of ws/wc"),
     "model.symmetric": ("model_symmetric", bool, None, None),
     "step.kind": ("step_kind", str, lambda v: v in ("gradient", "ls", "deblur"), "one of gradient/ls/deblur"),
-    "step.alpha": ("step_alpha", (int, float), _number, "a number"),
-    "optimizer.lr_grid": ("opt_lr_grid", list, lambda v: len(v) > 0 and all(_number(x) and x > 0 for x in v), "positive learning rates"),
+    "step.alpha": ("step_alpha", (int, float), _number, "a finite number"),
+    "optimizer.lr_grid": ("opt_lr_grid", list, lambda v: len(v) > 0 and all(_number(x) and x > 0 for x in v), "positive finite learning rates"),
     "optimizer.epochs": ("opt_epochs", int, lambda v: v >= 1, ">= 1"),
     "optimizer.batch": ("opt_batch", int, lambda v: v >= 1, ">= 1"),
     "optimizer.anneal_at": ("opt_anneal_at", int, None, None),

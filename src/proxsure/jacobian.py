@@ -106,11 +106,6 @@ def _gram(W: np.ndarray):
     return G, np.diag(G), mu
 
 
-def incoherence(W: np.ndarray) -> float:
-    """Largest off-diagonal magnitude of W W^H; 0 for a single row."""
-    return _gram(np.asarray(W, dtype=np.float64))[2]
-
-
 # Bytes of temporaries (l-by-l products, joint masks) that the path
 # kernel may keep alive, over all the inputs it expands at once.
 _PRODUCT_BUDGET = 4 << 20

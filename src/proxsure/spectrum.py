@@ -55,6 +55,8 @@ def spectrum(kernels, pad: int):
     kernels = [np.asarray(k, dtype=np.float64) for k in kernels]
     if not kernels:
         raise ValueError("empty kernel list")
+    if not all(np.isfinite(k).all() for k in kernels):
+        raise ValueError("kernel entries must be finite")
     total = np.zeros((pad, pad))
     for k in kernels:
         total += np.abs(dft2_direct(k, pad))

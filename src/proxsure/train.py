@@ -9,6 +9,7 @@ contributions into the single weight set.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,80 +183,65 @@ def train(
     seed: int = 0,
 ) -> TrainRunResult:
     """Minibatch Adam over a learning-rate grid; keeps the run with the
-    lowest final held-out MSE. Fully deterministic given the seed."""
+    lowest final held-out MSE. Fully deterministic given the seed.
+
+    Each learning rate takes min(max_steps, epochs * ceil(N / batch))
+    steps; a cap ends its epoch early, and that epoch is recorded."""
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
     x_test = np.asarray(x_test, dtype=np.float64)
     y_test = np.asarray(y_test, dtype=np.float64)
     if len(x_train) == 0:
         raise ValueError("empty training set")
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    n = x_train.shape[1]
-    N = len(x_train)
+    starts = range(0, len(x_train), batch)  # one minibatch per start
+    steps = min(len(starts) * epochs, math.inf if max_steps is None else max_steps)
     matrices = step_matrices(op, step)
 
-    best = None
-    diverged = []
+    runs, diverged = [], []
     for li, lr in enumerate(lr_grid):
-        init_rng = np.random.default_rng([seed, li, 2])
+        stack = random_stack(x_train.shape[1], hidden, T, mode, symmetric,
+                             seed=np.random.default_rng([seed, li, 2]))
         order_rng = np.random.default_rng([seed, li, 3])
-        stack = random_stack(n, hidden, T, mode, symmetric, seed=init_rng)
         state = OptimizerState.for_weights([stack.flat], lr)
         loss_hist, mse_hist = [], []
-        steps_done = 0
-        failed = False
-        # a diverging lr overflows on its way to a non-finite loss or MSE,
-        # which diverged_lrs already reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(epochs):
-                if anneal_at is not None and epoch == anneal_at:
-                    state.lr = lr * 0.1
-                order = order_rng.permutation(N)
-                epoch_loss = 0.0
-                seen = 0
-                for start in range(0, N, batch):
-                    if max_steps is not None and steps_done >= max_steps:
-                        break
-                    idx = order[start : start + batch]
-                    try:
+        try:
+            # a diverging lr overflows on its way to a non-finite loss or MSE,
+            # which diverged_lrs already reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                for epoch in range(-(-steps // len(starts))):  # the epochs that start
+                    if epoch == anneal_at:
+                        state.lr = lr * 0.1
+                    order = order_rng.permutation(len(x_train))
+                    epoch_loss = 0.0
+                    seen = 0
+                    for start in starts[: steps - epoch * len(starts)]:
+                        idx = order[start : start + batch]
                         loss, grads = loss_and_gradients(
                             stack, x_train[idx], y_train[idx], op, step, matrices
                         )
-                    except NonFiniteError:
-                        failed = True
-                        break
-                    flat_grad = (grads[0].ravel() if len(grads) == 1
-                                 else np.concatenate([g.ravel() for g in grads]))
-                    new, state = adam_step(state, [stack.flat], [flat_grad])
-                    stack.flat[:] = new[0]
-                    epoch_loss += loss * len(idx)
-                    seen += len(idx)
-                    steps_done += 1
-                if failed:
-                    break
-                xhat, _ = unroll(y_test, stack, op, *matrices)
-                loss_hist.append(epoch_loss / seen)
-                mse_hist.append(float(np.mean((xhat - x_test) ** 2)))
-                if max_steps is not None and steps_done >= max_steps:
-                    break
-        if failed or not mse_hist or not np.isfinite(mse_hist[-1]):
+                        flat_grad = (grads[0].ravel() if len(grads) == 1
+                                     else np.concatenate([g.ravel() for g in grads]))
+                        new, state = adam_step(state, [stack.flat], [flat_grad])
+                        stack.flat[:] = new[0]
+                        epoch_loss += loss * len(idx)
+                        seen += len(idx)
+                    xhat, _ = unroll(y_test, stack, op, *matrices)
+                    loss_hist.append(epoch_loss / seen)
+                    mse_hist.append(float(np.mean((xhat - x_test) ** 2)))
+        except NonFiniteError:
             diverged.append(lr)
             continue
-        if best is None or mse_hist[-1] < best[0]:
-            best = (
-                mse_hist[-1],
-                TrainRunResult(
-                    stack=stack,
-                    train_loss=loss_hist,
-                    test_mse=mse_hist,
-                    lr=lr,
-                    epochs=len(loss_hist),
-                ),
-            )
-    if best is None:
+        if not math.isfinite(mse_hist[-1]):
+            diverged.append(lr)
+            continue
+        runs.append(TrainRunResult(stack, loss_hist, mse_hist, lr, len(loss_hist)))
+    if not runs:
         raise TrainingFailureError("training diverged for every learning rate in the grid")
-    result = best[1]
+    result = min(runs, key=lambda run: run.test_mse[-1])
     result.diverged_lrs = diverged
     return result
 
@@ -322,44 +308,37 @@ def mask_fixed_point(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     W = np.asarray(W, dtype=np.float64)
-    x = np.asarray(y, dtype=np.float64).copy()
-    tail_masks = []
-    tail_z = []
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
+    y = np.asarray(y, dtype=np.float64)
+    x = y.copy()
+    tail = deque(maxlen=FIXED_POINT_TAIL)  # (mask, |z|) of the latest iterations
+    for iterations in range(1, max_iter + 1):
         z = W @ x
         D = z > 0.0
         x_new = x - W.T @ (D * z)
-        tail_masks.append(D)
-        tail_z.append(np.abs(z))
-        if len(tail_masks) > FIXED_POINT_TAIL:
-            tail_masks.pop(0)
-            tail_z.pop(0)
+        tail.append((D, np.abs(z)))
         delta = float(np.linalg.norm(x_new - x))
         x = x_new
-        iterations = it
         if delta < tol:
-            converged = True
             break
-    mask = np.logical_or.reduce(tail_masks)
+    mask = np.logical_or.reduce([D for D, _ in tail])
     support = np.flatnonzero(mask)
     W_s = W[support]
     if len(support):
-        proj = np.eye(len(x)) - W_s.T @ np.linalg.pinv(W_s.T)
-        target = proj @ np.asarray(y, dtype=np.float64)
+        target = (np.eye(len(x)) - W_s.T @ np.linalg.pinv(W_s.T)) @ y
     else:
-        target = np.asarray(y, dtype=np.float64)
+        target = y
     # support rows' pre-activations go to 0 by construction; the margin
     # that matters is how far the other rows stay from turning on
     off = ~mask
-    tail_margin = float(min(z[off].min() for z in tail_z)) if off.any() else np.inf
+    tail_margin = float(min(z[off].min() for _, z in tail)) if off.any() else np.inf
     return FixedPointResult(
         x=x,
         support=support,
         dof=len(x) - len(support),
-        converged=converged,
+        converged=delta < tol,
         iterations=iterations,
         projector_residual=float(np.linalg.norm(x - target)),
         tail_margin=tail_margin,

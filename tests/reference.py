@@ -11,7 +11,8 @@ the network's forward with every product one call on the whole batch
 a minibatch's loss and gradients as plain expressions, forward and
 backward (`textbook_loss_and_gradients`), which `loss_and_gradients`
 must match byte for byte; a stack rebuilt from a weight list in
-flatten_weights order (`stack_with_weights`); the RSS identity of a linear map; the B matrix
+flatten_weights order (`stack_with_weights`); the RSS identity of a linear map; the B matrix,
+the incoherence of W (`incoherence`), the oracle for the package's mu,
 and the per-term deviation check of the path expansion; the
 alternating path-sparsity sum over a term list (`dof_surrogate`), the
 oracle for the batched `path_surrogates`; one input drawn away from
@@ -268,6 +269,13 @@ def norm_matrix_b(W: np.ndarray) -> np.ndarray:
     """Squared row norms: the diagonal of W W^H."""
     W = np.asarray(W, dtype=np.float64)
     return np.einsum("ij,ij->i", W, W)
+
+
+def incoherence(W: np.ndarray) -> float:
+    """Largest off-diagonal magnitude of W W^H; 0 for a single row."""
+    W = np.asarray(W, dtype=np.float64)
+    G = W @ W.T
+    return float(np.abs(G - np.diag(np.diag(G))).max()) if len(G) > 1 else 0.0
 
 
 def path_deviation(term: PathTerm, slack: float = 1e-12):

@@ -183,3 +183,23 @@ def test_booleans_are_not_numbers_in_any_key(line, tmp_path):
     cfg.write_text(line + "\n")
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "step.alpha = NaN", "optimizer.lr_grid = [Infinity]", "operator.kernel = [NaN, 0.5]",
+    "sigma = [Infinity]", "sigma_pixel = [NaN]", "operator.matrix = [[1, -Infinity]]",
+    "step.alpha = 1" + "0" * 400,
+], ids=["alpha-nan", "lr-inf", "kernel-nan", "sigma-inf", "sigma-pixel-nan", "matrix-neg-inf",
+        "alpha-past-largest-float"])
+def test_non_finite_numbers_are_not_numbers_in_any_key(line, tmp_path):
+    """json.loads parses NaN, Infinity and integers no float64 holds; a
+    config rejects them as it rejects a string, so a sweep exits 1
+    before it writes anything."""
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError) as err:
+        parse_config(line + "\n")
+    assert key in str(err.value) and "finite" in str(err.value)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()

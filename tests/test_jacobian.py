@@ -20,7 +20,6 @@ from proxsure.errors import (
 from proxsure.jacobian import (
     PathTerm,
     accumulate_jacobian,
-    incoherence,
     jacobian_report,
     jacobian_trace_exact,
     path_expansion,
@@ -39,7 +38,13 @@ from proxsure.operators import (
 )
 from proxsure.risk import dof_finite_difference, evaluate_set
 from proxsure.network import forward_map
-from reference import dof_surrogate, jacobian_from_trace, norm_matrix_b, path_deviation
+from reference import (
+    dof_surrogate,
+    incoherence,
+    jacobian_from_trace,
+    norm_matrix_b,
+    path_deviation,
+)
 
 STEP0 = StepParams("gradient", 0.0)
 

@@ -18,7 +18,7 @@ from proxsure.risk import (
     sure,
     sure_report,
 )
-from reference import dof_surrogate, residual_identity
+from reference import dof_surrogate, incoherence, residual_identity
 
 
 def test_rss_values():
@@ -156,7 +156,6 @@ def test_sure_report_json():
 
 from proxsure.jacobian import (
     accumulate_jacobian,
-    incoherence,
     path_expansion,
 )
 from proxsure.network import ProximalStack, forward_map, random_stack, unroll_forward

@@ -66,6 +66,12 @@ def test_errors():
         dft2_direct(np.ones(3), pad=8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_kernel_entry_is_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        spectrum([np.ones((2, 2)), np.array([[1.0, bad]])], pad=8)
+
+
 def test_flat_grid_ratio_near_disk_fraction():
     ratio = low_frequency_energy_ratio(np.ones((64, 64)))
     # disk of radius pad/8 holds about pi/64 of the grid

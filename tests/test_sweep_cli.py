@@ -504,6 +504,18 @@ def test_cli_jacobian_report_input_that_is_not_a_list_of_numbers_is_usage_error(
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_cli_jacobian_report_input_with_a_non_finite_entry_is_usage_error(
+    tmp_path, tiny_cfg, capsys, entry
+):
+    weights = tmp_path / "w.bin"
+    save_stack(random_stack(8, [4], T=2), weights)
+    text = f"[{entry}, 0, 0, 0, 0, 0, 0, 1]"
+    assert cli.main(["jacobian-report", str(weights), text, "--config", str(tiny_cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "finite numbers" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["evaluate", "jacobian-report"])
 def test_cli_weights_of_another_n_is_a_runtime_error_naming_both(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.txt"
@@ -525,6 +537,16 @@ def test_cli_spectrum(tmp_path, capsys):
     # flat delta spectrum: disk holds 5/64 of the energy at pad 8
     assert payload["low_frequency_ratio"] == pytest.approx(5 / 64)
     assert os.path.exists(payload["grid"])
+
+
+@pytest.mark.parametrize("entry", ["NaN", "null"])
+def test_cli_spectrum_of_a_non_finite_kernel_is_a_runtime_error(tmp_path, capsys, entry):
+    kern = tmp_path / "k.json"
+    kern.write_text(f"[[[1.0, {entry}], [0.5, 0.2]]]")
+    assert cli.main(["spectrum", str(kern), "--pad", "8", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and captured.out == ""
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 # --- one evaluation pass per cell and per evaluate --------------------------

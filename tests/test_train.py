@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -246,6 +247,11 @@ def test_mask_fixed_point_never_active():
     assert result.dof == 2
 
 
+def test_mask_fixed_point_rejects_fewer_than_one_iteration():
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        mask_fixed_point(np.array([[1.0, 0.0]]), np.array([2.0, 3.0]), max_iter=0)
+
+
 def test_mask_fixed_point_support_and_margin_come_from_the_tail_window():
     # non-orthonormal rows couple the units: 86 iterations, during which
     # rows 1 and 3 turn on and off again before the last 10
@@ -280,11 +286,14 @@ def test_fixed_point_jacobian_orthonormal_rows():
 
 @np.errstate(over="ignore", invalid="ignore")  # as train() runs a diverging lr
 def _reference_train(x, y, x_test, y_test, op, step, hidden, T, mode, symmetric,
-                     lr_grid, epochs, batch, seed):
+                     lr_grid, epochs, batch, seed, max_steps=None, anneal_at=None):
     """train() spelled out with the plain-expression loss and gradients
     and the public Adam step, one weight list and one rebuilt stack per
-    minibatch. Returns, per learning rate, the final weights and the
-    train-loss history, or None if it diverged."""
+    minibatch. A learning rate stops after max_steps minibatches: the cap
+    cuts its epoch, that partial epoch is recorded, and no epoch starts
+    once the cap is reached. From epoch anneal_at on the rate is lr * 0.1.
+    Returns, per learning rate, the final weights, the train-loss history
+    and the final held-out MSE, or None if it diverged."""
     from proxsure.network import forward_map
 
     runs = []
@@ -295,17 +304,25 @@ def _reference_train(x, y, x_test, y_test, op, step, hidden, T, mode, symmetric,
         weights = flatten_weights(stack)
         state = OptimizerState.for_weights(weights, lr)
         losses = []
+        steps = 0
         try:
-            for _ in range(epochs):
+            for epoch in range(epochs):
+                if steps == max_steps:
+                    break
+                if epoch == anneal_at:
+                    state.lr = lr * 0.1
                 order = order_rng.permutation(len(x))
                 total, seen = 0.0, 0
                 for start in range(0, len(x), batch):
+                    if steps == max_steps:
+                        break
                     idx = order[start : start + batch]
                     stack = stack_with_weights(stack, weights)
                     loss, grads = textbook_loss_and_gradients(stack, x[idx], y[idx], op, step)
                     weights, state = adam_step(state, weights, grads)
                     total += loss * len(idx)
                     seen += len(idx)
+                    steps += 1
                 losses.append(total / seen)
         except NonFiniteError:
             runs.append(None)
@@ -319,14 +336,20 @@ def _reference_train(x, y, x_test, y_test, op, step, hidden, T, mode, symmetric,
 @pytest.mark.parametrize("symmetric", [True, False])
 @pytest.mark.parametrize("step", [StepParams("gradient", 0.3), StepParams("ls", 0.4), STEP0],
                          ids=["gradient", "ls", "skipped"])
-def test_train_matches_reference_loop_bit_for_bit(mode, symmetric, step):
+# 16 samples in batches of 5 are 4 steps per epoch (5, 5, 5, 1), 12 in all
+@pytest.mark.parametrize("max_steps,anneal_at", [(None, None), (2, None), (6, None), (8, None),
+                                                 (None, 1)],
+                         ids=["full", "cap-in-first-epoch", "cap-in-later-epoch",
+                              "cap-at-epoch-end", "anneal"])
+def test_train_matches_reference_loop_bit_for_bit(mode, symmetric, step, max_steps, anneal_at):
     n = 6
     x, y = _toy_problem(seed=3, N=24, n=n)
     lr_grid = [1e-3, 1e150, 3e-3]
     # one layer of a symmetric ws stack is the one-gradient-array case
     for op, hidden in product((identity_operator(n), circular_operator(BLUR, n=n)), ([5], [5, 3])):
         kwargs = dict(hidden=hidden, T=2, mode=mode, symmetric=symmetric,
-                      lr_grid=lr_grid, epochs=3, batch=5, seed=11)
+                      lr_grid=lr_grid, epochs=3, batch=5, seed=11,
+                      max_steps=max_steps, anneal_at=anneal_at)
         result = train(x[:16], y[:16], x[16:], y[16:], op, step, **kwargs)
         runs = _reference_train(x[:16], y[:16], x[16:], y[16:], op, step, **kwargs)
 
@@ -342,7 +365,14 @@ def test_train_matches_reference_loop_bit_for_bit(mode, symmetric, step):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_train_builds_step_matrices_once_and_steps_once_per_batch(monkeypatch):
+@pytest.mark.parametrize("N,batch,epochs,max_steps", [
+    (18, 4, 3, 12), (18, 4, 3, None), (18, 4, 3, 100), (18, 6, 2, 3), (3, 4, 2, None),
+    (3, 4, 5, 2),
+], ids=["cap-in-epoch", "no-cap", "cap-above-budget", "cap-at-epoch-end", "N-below-batch",
+        "N-below-batch-capped"])
+def test_train_builds_step_matrices_once_and_steps_once_per_batch(
+    monkeypatch, N, batch, epochs, max_steps
+):
     import importlib
 
     from proxsure.network import ProximalStack
@@ -365,11 +395,14 @@ def test_train_builds_step_matrices_once_and_steps_once_per_batch(monkeypatch):
     monkeypatch.setattr(train_mod, "step_matrices", counted_step_matrices)
     monkeypatch.setattr(train_mod, "loss_and_gradients", counted_loss)
     n = 6
-    x, y = _toy_problem(N=18, n=n)
-    # 3 epochs of ceil(18 / 4) = 5 minibatches, capped at 12 steps, per lr
+    x, y = _toy_problem(N=N, n=n)
     train(x, y, x, y, identity_operator(n), StepParams("ls", 0.5), hidden=[4], T=2,
-          lr_grid=[1e-3, 3e-3], epochs=3, batch=4, max_steps=12, seed=4)
-    assert calls == {"step_matrices": 1, "loss_and_gradients": 2 * 12}
+          lr_grid=[1e-3, 3e-3], epochs=epochs, batch=batch, max_steps=max_steps, seed=4)
+    # per lr, epochs of ceil(N / batch) minibatches, cut at the cap
+    steps = epochs * math.ceil(N / batch)
+    if max_steps is not None:
+        steps = min(max_steps, steps)
+    assert calls == {"step_matrices": 1, "loss_and_gradients": 2 * steps}
 
 
 @pytest.mark.parametrize("mode", ["ws", "wc"])
@@ -557,6 +590,12 @@ def test_train_rejects_a_step_cap_below_one():
     x, y = _toy_problem(N=8, n=6)
     with pytest.raises(ValueError, match="max_steps"):
         train(x, y, x, y, identity_operator(6), STEP0, hidden=[4], T=2, max_steps=0)
+
+
+def test_train_rejects_fewer_than_one_epoch():
+    x, y = _toy_problem(N=8, n=6)
+    with pytest.raises(ValueError, match="epochs must be at least 1"):
+        train(x, y, x, y, identity_operator(6), STEP0, hidden=[4], T=2, epochs=0)
 
 
 def test_anneal_scales_the_learning_rate_from_its_epoch():
