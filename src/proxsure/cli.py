@@ -184,6 +184,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """An integer flag that must be >= 1; below that argparse reports a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxsure",
@@ -200,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-data", parents=[common], help="write a dataset container")
     p.add_argument("path", help="output .bin path")
-    p.add_argument("--count", type=int, default=256, help="number of samples")
+    p.add_argument("--count", type=positive_int, default=256, help="number of samples")
     p.set_defaults(fn=_cmd_generate_data)
 
     p = sub.add_parser("train", parents=[common], help="train one cell and save weights")
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[common], help="filter bank spectrum analysis")
     p.add_argument("kernels", help="JSON file: list of 2-D kernel arrays")
-    p.add_argument("--pad", type=int, default=64)
+    p.add_argument("--pad", type=positive_int, default=64)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("report", parents=[common], help="reshape a sweep CSV for plotting")

@@ -84,7 +84,7 @@ _SCHEMA = {
     "n_test": ("n_test", int, lambda v: v >= 1, ">= 1"),
     "model.hidden": ("model_hidden", list, lambda v: len(v) > 0 and all(_number(x, int) and x >= 1 for x in v), "positive layer widths"),
     "model.iterations": ("model_iterations", int, lambda v: v >= 1, ">= 1"),
-    "model.mode": ("model_mode", list, lambda v: len(v) > 0 and all(m in ("ws", "wc") for m in v), "subset of ws/wc"),
+    "model.mode": ("model_mode", list, lambda v: len(v) > 0 and all(m in ("ws", "wc") for m in v) and len(set(v)) == len(v), "distinct values of ws/wc"),
     "model.symmetric": ("model_symmetric", bool, None, None),
     "step.kind": ("step_kind", str, lambda v: v in ("gradient", "ls", "deblur"), "one of gradient/ls/deblur"),
     "step.alpha": ("step_alpha", (int, float), _number, "a finite number"),
@@ -93,7 +93,7 @@ _SCHEMA = {
     "optimizer.batch": ("opt_batch", int, lambda v: v >= 1, ">= 1"),
     "optimizer.anneal_at": ("opt_anneal_at", int, None, None),
     "optimizer.max_steps": ("opt_max_steps", int, lambda v: v == -1 or v >= 1, "-1 (unlimited) or >= 1"),
-    "seeds": ("seeds", list, lambda v: len(v) > 0 and all(_number(x, int) and x >= 0 for x in v), "non-negative integer seeds"),
+    "seeds": ("seeds", list, lambda v: len(v) > 0 and all(_number(x, int) and x >= 0 for x in v) and len(set(v)) == len(v), "distinct non-negative integer seeds"),
     "dof.estimator": ("dof_estimator", str, lambda v: v in ("exact", "mc"), "exact or mc"),
     # input i's probes are one draw from default_rng([seed, i]), distinct
     # at any count; the cap bounds each input's (probes, n) forward batch
@@ -141,6 +141,8 @@ def parse_config(text: str) -> ExperimentConfig:
         setattr(cfg, attr, value)
     if "sigma_pixel" in seen and "sigma" not in seen:
         cfg.sigma = [s / 255.0 for s in cfg.sigma_pixel]
+    if len({f"{s:g}" for s in cfg.sigma}) < len(cfg.sigma):  # %g spells sigma in cell files and summary keys
+        raise ConfigError("sigma" if "sigma" in seen else "sigma_pixel", "sigmas must differ in their %g spelling")
     _cross_validate(cfg)
     return cfg
 

@@ -246,43 +246,36 @@ def evaluate_set(
     if Y.ndim != 2 or Y.shape[1] != op.m:
         raise DimensionMismatchError("measurement set", op.m, Y.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        ev = _evaluate_set(stack, op, step, Y, sigma, max_T, mc_probes, mc_seed)
+        G_x, G_y = step_matrices(op, step)
+        xhat, rec = unroll(Y, stack, op, G_x, G_y, record=True)
+        target = Y if op.m == op.n else apply_operator(op, Y, "adjoint")
+        ev = SetEvaluation(xhat, np.sum((xhat - target) ** 2, axis=1))
+        if op.m == op.n:
+            masks = [[[D[i] for _, D, _ in units] for _, units in rec] for i in range(len(Y))]
+            eye = np.eye(op.m)
+            ev.dof = np.array(
+                [jacobian_trace_exact(unroll(eye, stack, op, G_x, G_y, masks=m)[0]) for m in masks]
+            )
+            if mc_probes and np.isfinite(xhat).all() and np.isfinite(ev.dof).all():
+                h = lambda v: unroll(v, stack, op, G_x, G_y)[0]
+                mc = np.full((len(Y), 2), np.nan)  # an input whose probes overflow stays nan
+                for i, y in enumerate(Y):
+                    try:
+                        mc[i] = dof_monte_carlo(h, y, mc_probes, seed=[mc_seed, i])
+                    except NonFiniteError:
+                        pass
+                ev.dof_mc, ev.mc_std_error = mc.T
+            if sigma is not None and op.kind == "identity":
+                ev.sure = sure(ev.rss, ev.dof, op.n, sigma)
+        # a net without an expansion_error is on the identity, so m == n
+        if max_T is not None and expansion_error(stack, max_T, op, step) is None:
+            d = np.stack([units[0][1] for _, units in rec], axis=1)  # (B, T, l) masks
+            ev.surrogate, rho, ev.mu = path_surrogates(stack.weights[0][0][0], d, stack.n)
+            ev.rho_max, ev.epsilon, ev.bound, ev.eps_valid = theorem1_bound(ev.mu, rho)
     _check_finite("set evaluation", {
         "outputs": ev.xhat, "rss": ev.rss, "DOF": ev.dof, "Monte-Carlo DOF": ev.dof_mc,
         "Monte-Carlo standard errors": ev.mc_std_error if mc_probes and mc_probes > 1 else None,
         "SURE": ev.sure, "surrogates": ev.surrogate,
         **({"mu": ev.mu, "rho_max": ev.rho_max, "epsilon": ev.epsilon} if ev.surrogate is not None else {}),
     })
-    return ev
-
-
-def _evaluate_set(stack, op, step, Y, sigma, max_T, mc_probes, mc_seed) -> SetEvaluation:
-    """The values of `evaluate_set`, unchecked."""
-    G_x, G_y = step_matrices(op, step)
-    xhat, rec = unroll(Y, stack, op, G_x, G_y, record=True)
-    target = Y if op.m == op.n else apply_operator(op, Y, "adjoint")
-    ev = SetEvaluation(xhat, np.sum((xhat - target) ** 2, axis=1))
-    if op.m != op.n:
-        return ev
-    masks = [[[D[i] for _, D, _ in units] for _, units in rec] for i in range(len(Y))]
-    eye = np.eye(op.m)
-    ev.dof = np.array(
-        [jacobian_trace_exact(unroll(eye, stack, op, G_x, G_y, masks=m)[0]) for m in masks]
-    )
-    if mc_probes and np.isfinite(xhat).all() and np.isfinite(ev.dof).all():
-        h = lambda v: unroll(v, stack, op, G_x, G_y)[0]
-        mc = np.full((len(Y), 2), np.nan)  # an input whose probes overflow stays nan
-        for i, y in enumerate(Y):
-            try:
-                mc[i] = dof_monte_carlo(h, y, mc_probes, seed=[mc_seed, i])
-            except NonFiniteError:
-                pass
-        ev.dof_mc, ev.mc_std_error = mc.T
-    if sigma is not None and op.kind == "identity":
-        ev.sure = sure(ev.rss, ev.dof, op.n, sigma)
-    if max_T is None or expansion_error(stack, max_T, op, step) is not None:
-        return ev
-    d = np.stack([units[0][1] for _, units in rec], axis=1)  # (B, T, l) masks
-    ev.surrogate, rho, ev.mu = path_surrogates(stack.weights[0][0][0], d, stack.n)
-    ev.rho_max, ev.epsilon, ev.bound, ev.eps_valid = theorem1_bound(ev.mu, rho)
     return ev

@@ -13,9 +13,10 @@ from __future__ import annotations
 import contextvars
 import csv
 import dataclasses
-import io
+import itertools
 import json
 import math
+import operator
 import os
 import time
 from functools import partial
@@ -29,26 +30,6 @@ from .jsonout import strict_dumps
 from .operators import apply_operator
 from .risk import evaluate_set, mse_psnr
 from .train import train
-
-COLUMNS = [
-    "seed",
-    "mode",
-    "sigma",
-    "n_train",
-    "status",
-    "test_mse",
-    "psnr",
-    "rss_mean",
-    "dof_exact_mean",
-    "dof_mc_mean",
-    "sure_mean",
-    "mu_w",
-    "rho_max",
-    "epsilon",
-    "dof_surrogate",
-    "theorem1_bound",
-    "eps_valid",
-]
 
 COLUMN_DOCS = {
     "seed": "run seed for data, initialization, and shuffling",
@@ -69,6 +50,10 @@ COLUMN_DOCS = {
     "theorem1_bound": "(1 + epsilon)^T - 1 - epsilon T, summed as sum_{k=2..T} C(T, k) epsilon^k; nan where dof_surrogate is (its summary mean and count cover only seeds with eps_valid true)",
     "eps_valid": "True when epsilon < 1, the hypothesis of Theorem 1: only there do dof_surrogate and theorem1_bound carry its guarantee (nan where dof_surrogate is; its summary mean is the share of valid seeds)",
 }
+COLUMNS = list(COLUMN_DOCS)  # the first five name a row; summary.json averages the rest
+
+# A row's cell, in sweep and sort order.
+_cell = operator.itemgetter("mode", "sigma", "n_train", "seed")
 
 
 # The splits that the cells of the running run_sweep share: (its config,
@@ -196,68 +181,52 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
     """
     os.makedirs(out_dir, exist_ok=True)
     config_sha256 = _cell_config_sha256(cfg)
-    cells = [
-        (mode, sigma, n_train, seed)
-        for mode in cfg.modes()
-        for sigma in cfg.sigma
-        for n_train in cfg.n_train_grid
-        for seed in cfg.seeds
-    ]
-
+    cells = list(itertools.product(cfg.modes(), cfg.sigma, cfg.n_train_grid, cfg.seeds))
     timings = {}
 
     def compute(cell):
-        mode, sigma, n_train, seed = cell
-        path = os.path.join(out_dir, _cell_name(*cell))
+        name = _cell_name(*cell)
+        path = os.path.join(out_dir, name)
         try:
             with open(path) as f:
                 row = json.load(f)
         except (FileNotFoundError, ValueError):  # no cell file, or not JSON
             row = None
-        if isinstance(row, dict):  # the file writes nan as null
-            row = {k: math.nan if v is None else v for k, v in row.items()}
         if (isinstance(row, dict) and row.get("config_sha256") == config_sha256
-                and tuple(map(row.get, ("mode", "sigma", "n_train", "seed"))) == cell
-                and row.keys() >= set(COLUMNS)):
-            return row
+                and row.keys() >= set(COLUMNS) and _cell(row) == cell):
+            return {k: math.nan if v is None else v for k, v in row.items()}  # the file writes nan as null
         started = time.perf_counter()
-        row = run_cell(cfg, mode, sigma, n_train, seed)
-        timings[_cell_name(*cell)] = time.perf_counter() - started
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
+        row = run_cell(cfg, *cell)
+        timings[name] = time.perf_counter() - started
+        with open(path + ".tmp", "w") as f:
             f.write(strict_dumps({**row, "config_sha256": config_sha256}, sort_keys=True))
-        os.replace(tmp, path)
+        os.replace(path + ".tmp", path)
         return row
 
     splits = {}
     token = _shared_splits.set((cfg, splits))
     try:
-        rows = [compute(cell) for cell in cells]
+        rows = sorted(map(compute, cells), key=_cell)
     finally:
         _shared_splits.reset(token)
         splits.clear()
 
-    rows.sort(key=lambda r: (r["mode"], r["sigma"], r["n_train"], r["seed"]))
+    def write(name, text):
+        with open(os.path.join(out_dir, name), "w") as f:
+            f.write(text)
+
     csv_path = os.path.join(out_dir, "sweep.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in COLUMNS])
     with open(csv_path, "w") as f:
-        f.write(buf.getvalue())
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        writer.writerows([_fmt(row[c]) for c in COLUMNS] for row in rows)
 
     summary = {}
-    for row in rows:
-        key = f"{row['mode']}|{row['sigma']:g}|{row['n_train']}"
-        summary.setdefault(key, []).append(row)
-    summary_out = {}
-    for key, group in sorted(summary.items()):
-        agg = {}
+    for (mode, sigma, n_train), group in itertools.groupby(rows, key=lambda r: _cell(r)[:3]):
+        group = list(group)
         valid = [g for g in group if g["eps_valid"] is True]
-        for col in COLUMNS:
-            if col in ("seed", "mode", "sigma", "n_train", "status"):
-                continue
+        agg = summary[f"{mode}|{sigma:g}|{n_train}"] = {}
+        for col in COLUMNS[5:]:
             support = valid if col in ("dof_surrogate", "theorem1_bound") else group
             finite = [g[col] for g in support
                       if isinstance(g[col], (int, float)) and math.isfinite(g[col])]
@@ -267,18 +236,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1) -> str:
                 "std_error": (float(np.std(finite, ddof=1) / math.sqrt(len(finite)))
                               if len(finite) > 1 else None),
             }
-        summary_out[key] = agg
-    with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        f.write(strict_dumps(summary_out, sort_keys=True, indent=1))
-    with open(os.path.join(out_dir, "schema.json"), "w") as f:
-        json.dump({"columns": COLUMNS, "docs": COLUMN_DOCS}, f, sort_keys=True, indent=1)
-    with open(os.path.join(out_dir, "config.echo"), "w") as f:
-        f.write(config_to_text(cfg))
+    write("summary.json", strict_dumps(summary, sort_keys=True, indent=1))
+    write("schema.json", json.dumps({"columns": COLUMNS, "docs": COLUMN_DOCS}, sort_keys=True, indent=1))
+    write("config.echo", config_to_text(cfg))
     if timings:
-        with open(os.path.join(out_dir, "timings.csv"), "w") as f:
-            f.write("cell,wallclock_s\n")
-            for name in sorted(timings):
-                f.write(f"{name},{timings[name]:.3f}\n")
+        write("timings.csv", "cell,wallclock_s\n" + "".join(
+            f"{name},{timings[name]:.3f}\n" for name in sorted(timings)))
     return csv_path
 
 

@@ -195,6 +195,8 @@ def train(
         raise ValueError("empty training set")
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     starts = range(0, len(x_train), batch)  # one minibatch per start

@@ -60,8 +60,16 @@ def test_cross_validation():
     ('step.kind = "deblur"\nstep.alpha = -0.5\n', "step.alpha", "alpha > 0"),
     ('operator.kind = "dft"\n', "operator.omega", "needs a frequency set"),
     ('operator.kind = "dense"\n', "operator.matrix", "needs a matrix"),
+    # a repeated grid value names one cell twice; cell files and summary
+    # keys spell sigma with %g, where 0.2000001 and 51.00001 / 255 read 0.2
+    ("seeds = [0, 1, 0]\n", "seeds", "distinct"),
+    ('model.mode = ["ws", "ws"]\n', "model.mode", "distinct"),
+    ("sigma = [0.2, 0.2]\n", "sigma", "%g"),
+    ("sigma = [0.2, 0.2000001]\n", "sigma", "%g"),
+    ("sigma_pixel = [51, 51.00001]\n", "sigma_pixel", "%g"),
 ], ids=["no-equals", "bool-as-int", "sparsity", "deblur-zero", "deblur-negative", "dft-no-omega",
-        "dense-no-matrix"])
+        "dense-no-matrix", "repeated-seed", "repeated-mode", "repeated-sigma", "sigma-alike-in-g",
+        "sigma-pixel-alike-in-g"])
 def test_config_errors_name_their_key(text, field, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text)

@@ -283,6 +283,38 @@ def test_summary_counts_finite_values_and_averages_the_surrogate_only_where_vali
     assert "sigma" not in summary and "n_train" not in summary
 
 
+def test_summary_groups_an_unsorted_grid_by_mode_sigma_and_n_train(tmp_path, tiny_cfg, monkeypatch):
+    import math
+
+    offset = {"wc": 10.0, "ws": 20.0}
+
+    def fake_cell(cfg, mode, sigma, n_train, seed):
+        row = {c: math.nan for c in COLUMNS}
+        row.update(seed=seed, mode=mode, sigma=sigma, n_train=n_train, status="ok")
+        row["test_mse"] = offset[mode] + sigma + seed
+        return row
+
+    monkeypatch.setattr(sweep, "run_cell", fake_cell)
+    text = tiny_cfg.read_text().replace("sigma = 0.2", "sigma = [0.3, 0.1, 0.2]")
+    text = text.replace("seeds = [0]", "seeds = [3, 0, 1]").replace('["ws"]', '["ws", "wc"]')
+    out = tmp_path / "out"
+    rows = read_csv(run_sweep(parse_config(text), out))
+    assert [(r["mode"], r["sigma"], r["seed"]) for r in rows] == [
+        (mode, sigma, seed) for mode in ("wc", "ws") for sigma in ("0.1", "0.2", "0.3")
+        for seed in ("0", "1", "3")
+    ]
+
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == [f"{m}|{s}|8" for m in ("wc", "ws") for s in ("0.1", "0.2", "0.3")]
+    for key, group in summary.items():
+        mode, sigma, _ = key.split("|")
+        # seeds 3, 0 and 1: mean 4/3, sample variance 7/3, standard error sqrt(7/3 / 3)
+        assert group["test_mse"]["count"] == 3
+        assert group["test_mse"]["mean"] == pytest.approx(offset[mode] + float(sigma) + 4 / 3)
+        assert group["test_mse"]["std_error"] == pytest.approx(math.sqrt(7) / 3)
+        assert group["psnr"] == {"count": 0, "mean": "nan", "std_error": None}
+
+
 def test_resume_recomputes_cells_of_another_config(tmp_path, tiny_cfg):
     cfg = parse_config(tiny_cfg.read_text())
     other = parse_config(tiny_cfg.read_text().replace("optimizer.epochs = 2", "optimizer.epochs = 3"))
@@ -476,6 +508,32 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_usage_error_exit_code():
     assert cli.main(["verify", "not-a-check"]) == 1
     assert cli.main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+@pytest.mark.parametrize("command,flag", [("generate-data", "--count"), ("spectrum", "--pad")])
+def test_cli_count_or_pad_below_one_is_usage_error(tmp_path, tiny_cfg, capsys, command, flag, value):
+    kern = tmp_path / "k.json"
+    kern.write_text("[[[1.0]]]")
+    target = tmp_path / "ds.bin" if command == "generate-data" else kern
+    argv = [command, str(target), flag, value, "--config", str(tiny_cfg), "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "ds.bin").exists() and not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("grid", [
+    'seeds = [0, 0]\nsigma = [0.2, 0.2]\nmodel.mode = ["ws", "ws"]\n',
+    "sigma = [0.2, 0.2000001]\n",
+], ids=["repeated", "sigma-alike-in-g"])
+def test_cli_sweep_over_a_grid_that_names_one_cell_twice_is_config_error(tmp_path, capsys, grid):
+    # each would write one cell file for two cells and merge them in summary.json
+    cfg = tmp_path / "cfg.txt"
+    keys = ("seeds", "sigma", "model.mode")
+    cfg.write_text("".join(line for line in TINY_CONFIG.splitlines(True) if not line.startswith(keys)) + grid)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_failure_exit_code(monkeypatch):

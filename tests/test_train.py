@@ -598,6 +598,13 @@ def test_train_rejects_fewer_than_one_epoch():
         train(x, y, x, y, identity_operator(6), STEP0, hidden=[4], T=2, epochs=0)
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_train_rejects_a_batch_below_one(batch):
+    x, y = _toy_problem(N=8, n=6)
+    with pytest.raises(ValueError, match="batch must be at least 1"):
+        train(x, y, x, y, identity_operator(6), STEP0, hidden=[4], T=2, batch=batch)
+
+
 def test_anneal_scales_the_learning_rate_from_its_epoch():
     x, y = _toy_problem(N=16, n=6)
     kwargs = dict(hidden=[4], T=2, epochs=3, batch=4, seed=5)
