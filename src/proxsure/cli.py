@@ -133,10 +133,6 @@ def _cmd_verify(args) -> int:
     if unknown:
         print(f"usage error: verify {args.check} takes no --{unknown[0]}", file=sys.stderr)
         return 1
-    for flag, low in (("trials", 1), ("seed", 0)):
-        if kwargs.get(flag, low) < low:
-            print(f"usage error: verify --{flag} must be >= {low}", file=sys.stderr)
-            return 1
     report = fn(**kwargs)
     print(report.to_json())
     if args.out:
@@ -184,12 +180,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    """An integer flag that must be >= 1; below that argparse reports a usage error."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def at_least(low: int):
+    """argparse type of an integer flag that must be >= low; below that
+    argparse reports a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,14 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["debug", "info", "warning", "error"])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
-    common.add_argument("--seed", type=int, help="override the config seed list")
+    common.add_argument("--seed", type=at_least(0), help="override the config seed list")
     common.add_argument("--out", help="output directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-data", parents=[common], help="write a dataset container")
     p.add_argument("path", help="output .bin path")
-    p.add_argument("--count", type=positive_int, default=256, help="number of samples")
+    p.add_argument("--count", type=at_least(1), default=256, help="number of samples")
     p.set_defaults(fn=_cmd_generate_data)
 
     p = sub.add_parser("train", parents=[common], help="train one cell and save weights")
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="numerical theory checks")
     p.add_argument("check", choices=sorted(VERIFY_COMMANDS))
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=at_least(1))
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("jacobian-report", parents=[common],
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[common], help="filter bank spectrum analysis")
     p.add_argument("kernels", help="JSON file: list of 2-D kernel arrays")
-    p.add_argument("--pad", type=positive_int, default=64)
+    p.add_argument("--pad", type=at_least(1), default=64)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("report", parents=[common], help="reshape a sweep CSV for plotting")

@@ -148,24 +148,25 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _cross_validate(cfg: ExperimentConfig) -> None:
+    """The rules that need the whole config; the operator and step
+    factories hold their own, reported under the key they read."""
     if cfg.data_kind == "subspace" and cfg.data_rank > cfg.n:
         raise ConfigError("data.rank", f"rank {cfg.data_rank} exceeds n = {cfg.n}")
     if cfg.data_kind == "sparse" and cfg.data_sparsity > cfg.data_dict_size:
         raise ConfigError("data.sparsity", "exceeds data.dict_size")
-    if cfg.step_kind == "ls" and not 0 <= cfg.step_alpha <= 1:
-        raise ConfigError("step.alpha", "mixing step needs 0 <= alpha <= 1")
-    if cfg.step_kind == "deblur" and cfg.step_alpha <= 0:
-        raise ConfigError("step.alpha", "deblur step needs alpha > 0")
-    if cfg.operator_kind == "circular" and not cfg.operator_kernel:
-        raise ConfigError("operator.kernel", "circular operator needs a kernel")
-    if cfg.operator_kind == "circular" and len(cfg.operator_kernel) > cfg.n:
-        raise ConfigError("operator.kernel", f"kernel longer than n = {cfg.n}")
-    if cfg.operator_kind == "dft" and not cfg.operator_omega:
-        raise ConfigError("operator.omega", "dft operator needs a frequency set")
-    if cfg.operator_kind == "dense" and not cfg.operator_matrix:
-        raise ConfigError("operator.matrix", "dense operator needs a matrix")
-    if cfg.operator_kind == "dense" and len(cfg.operator_matrix[0]) != cfg.n:
+    try:
+        build_step(cfg)
+    except ValueError as exc:
+        raise ConfigError("step.alpha", str(exc)) from None
+    try:
+        op = build_operator(cfg)
+    except ValueError as exc:
+        raise ConfigError(_OPERATOR_KEYS[cfg.operator_kind], str(exc)) from None
+    if op.n != cfg.n:
         raise ConfigError("operator.matrix", f"matrix needs n = {cfg.n} columns")
+
+
+_OPERATOR_KEYS = {"circular": "operator.kernel", "dft": "operator.omega", "dense": "operator.matrix"}
 
 
 _ATTR_TO_KEY = {attr: key for key, (attr, *_rest) in _SCHEMA.items()}

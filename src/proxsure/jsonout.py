@@ -1,7 +1,6 @@
 """Strict JSON for the reports and artifacts the package writes: a
 non-finite float is written as null, so every output parses with a
-parser that rejects NaN and Infinity. (SureReport keeps its own rule,
-inf as the string "inf".)"""
+parser that rejects NaN and Infinity."""
 
 from __future__ import annotations
 

@@ -53,6 +53,8 @@ def identity_operator(n: int) -> SensingOperator:
 
 
 def dense_operator(matrix) -> SensingOperator:
+    if np.size(matrix) == 0:
+        raise ValueError("dense operator needs a matrix")
     return SensingOperator("dense", matrix)
 
 
@@ -77,6 +79,8 @@ def dft_operator(n: int, omega) -> SensingOperator:
     inputs stay real. Output stacks real parts then imaginary parts, so
     m = 2 * |Omega|.
     """
+    if np.size(omega) == 0:
+        raise ValueError("dft operator needs a frequency set")
     idx = np.asarray(omega, dtype=np.int64) % n
     sym = np.union1d(idx, (-idx) % n)
     F = np.fft.fft(np.eye(n), axis=0)[sym] / np.sqrt(n)

@@ -9,15 +9,15 @@ seeded Monte-Carlo probe estimator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import seeded_rng
+from .data import _seed_seq, seeded_rng
 from .errors import DimensionMismatchError, NonFiniteError
 from .jacobian import _check_finite, expansion_error, jacobian_trace_exact, path_surrogates, theorem1_bound
+from .jsonout import strict_dumps
 from .network import ProximalStack, unroll
 from .operators import SensingOperator, StepParams, apply_operator, step_matrices
 
@@ -86,7 +86,7 @@ def dof_monte_carlo(
     base = _output(h, y)
     if delta is None:
         delta = default_mc_delta(y)
-    rng = seeded_rng(*seed) if isinstance(seed, (list, tuple)) else np.random.default_rng(seed)
+    rng = seeded_rng(*_seed_seq(seed))
     probes = rng.integers(0, 2, size=(K, n)) * 2.0
     probes -= 1.0
     shifted = delta * probes
@@ -141,16 +141,7 @@ class SureReport:
     mse_normalization: str = "mean"
 
     def to_json(self) -> str:
-        def clean(v):
-            if v is None or (isinstance(v, float) and math.isnan(v)):
-                return None
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return v
-
-        return json.dumps(
-            {k: clean(v) for k, v in self.__dict__.items()}, sort_keys=True
-        )
+        return strict_dumps(self.__dict__, sort_keys=True)
 
 
 def sure_report(

@@ -329,6 +329,19 @@ def verify_lemma3(
     )
 
 
+def sure_gap_parts(ev, x, v, sigma: float):
+    """Per input x + v of ev: the gap SURE - ||xhat - x||^2 and its two
+    parts, which sum to it. The noise-norm part ||v||^2 - n sigma^2 has
+    mean 0 by the noise model, whatever the network; the Stein part
+    2(sigma^2 tr J - <xhat - x, v>) has mean 0 by Stein's identity, and
+    is the part a wrong DOF moves."""
+    err = ev.xhat - x
+    gap = ev.sure - np.sum(err**2, axis=1)
+    noise = np.sum(v**2, axis=1) - len(x) * sigma**2
+    stein = 2.0 * (sigma**2 * ev.dof - np.sum(err * v, axis=1))
+    return gap, noise, stein
+
+
 def verify_sure_unbiased(
     n: int = 64,
     sigma: float = 0.1,
@@ -348,19 +361,21 @@ def verify_sure_unbiased(
         lr_grid=[1e-3], epochs=40, batch=8, max_steps=2000, seed=seed,
     )
     x = test_set.samples[0]  # fixed unit-norm truth
-    diffs = np.empty(draws)
+    parts = np.empty((3, draws))  # per draw: the gap and its two parts
     # 128 draws per pass bound the batched forward's temporaries and record
     for lo in range(0, draws, 128):
         batch = range(lo, min(lo + 128, draws))
-        noise = np.array([datamod.seeded_rng(seed, 40, d).standard_normal(n) for d in batch])
-        ev = evaluate_set(result.stack, op, step, x + sigma * noise, sigma)
-        diffs[batch] = ev.sure - np.sum((ev.xhat - x) ** 2, axis=1)
-    mean_gap = float(diffs.mean())
-    se = float(diffs.std(ddof=1) / math.sqrt(draws))
-    tol = 3.0 * se
+        v = sigma * np.array([datamod.seeded_rng(seed, 40, d).standard_normal(n) for d in batch])
+        ev = evaluate_set(result.stack, op, step, x + v, sigma)
+        parts[:, batch] = sure_gap_parts(ev, x, v, sigma)
+    means = [float(p.mean()) for p in parts]
+    ses = [float(p.std(ddof=1) / math.sqrt(draws)) for p in parts]
+    tol = 3.0 * ses[0]
     return VerifyReport(
-        "sure-unbiased", draws, abs(mean_gap), tol, abs(mean_gap) <= tol,
-        details={"mean_gap": mean_gap, "std_error": se},
+        "sure-unbiased", draws, abs(means[0]), tol, abs(means[0]) <= tol,
+        details={"mean_gap": means[0], "std_error": ses[0],
+                 "noise_norm_part": {"mean": means[1], "std_error": ses[1]},
+                 "stein_part": {"mean": means[2], "std_error": ses[2]}},
     )
 
 

@@ -709,6 +709,19 @@ def test_cli_verify_trials_below_one_or_negative_seed_is_usage_error(capsys, arg
     assert out.out == "" and flag in out.err
 
 
+@pytest.mark.parametrize("command", ["generate-data", "sweep", "train", "evaluate"])
+def test_cli_negative_seed_is_usage_error_on_every_command(tmp_path, tiny_cfg, capsys, command):
+    # argparse checks --seed, so a config's seed rule cannot be skipped by the override
+    save_stack(random_stack(8, [4], T=2), tmp_path / "w.bin")
+    positional = {"generate-data": [str(tmp_path / "ds.bin")], "evaluate": [str(tmp_path / "w.bin")]}
+    argv = [command, *positional.get(command, []), "--config", str(tiny_cfg),
+            "--out", str(tmp_path / "out"), "--seed", "-1"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "argument --seed: must be >= 0" in out.err
+    assert not (tmp_path / "ds.bin").exists() and not (tmp_path / "out").exists()
+
+
 def test_cli_verify_forwards_seed_by_signature(monkeypatch):
     from proxsure.verify import VerifyReport
 
@@ -1050,3 +1063,13 @@ def test_reports_write_non_finite_values_as_null():
     assert payload["epsilon"] is payload["bound"] is payload["paths"][0]["bound"] is None
     verify = VerifyReport("lemma4", 1, 0.0, 1e-12, True, details={"max_ratio": float("nan")})
     assert _strict(verify.to_json())["max_ratio"] is None
+
+
+def test_per_input_sure_report_writes_infinities_as_null():
+    from proxsure.risk import SureReport
+
+    inf = float("inf")
+    report = SureReport(n=2, sigma=0.1, rss=inf, sure=-inf, psnr=inf, mc_std_error=float("nan"))
+    payload = _strict(report.to_json())
+    assert payload["rss"] is payload["sure"] is payload["psnr"] is payload["mc_std_error"] is None
+    assert payload["n"] == 2 and payload["sigma"] == 0.1

@@ -145,3 +145,43 @@ def test_sure_unbiased_draws_are_the_list_seeded_streams(monkeypatch, seed):
     got = verify_sure_unbiased(n=16, draws=130, seed=seed).to_json()
     monkeypatch.setattr(data, "seeded_rng", lambda *words: np.random.default_rng(list(words)))
     assert verify_sure_unbiased(n=16, draws=130, seed=seed).to_json() == got
+
+
+def test_sure_gap_parts_sum_to_each_draws_gap():
+    from proxsure.network import random_stack
+    from proxsure.operators import StepParams, identity_operator
+    from proxsure.risk import evaluate_set
+    from proxsure.verify import sure_gap_parts
+
+    n, sigma = 16, 0.1
+    rng = np.random.default_rng(7)
+    stack = random_stack(n, [8], T=3, seed=7)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    v = sigma * rng.standard_normal((50, n))
+    ev = evaluate_set(stack, identity_operator(n), StepParams("gradient", 0.0), x + v, sigma)
+    gap, noise, stein = sure_gap_parts(ev, x, v, sigma)
+    np.testing.assert_array_equal(gap, ev.sure - np.sum((ev.xhat - x) ** 2, axis=1))
+    np.testing.assert_allclose(noise + stein, gap, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1.0, -1.0])
+def test_sure_unbiased_fails_on_a_dof_off_by_one(monkeypatch, delta):
+    """Power: at its defaults the check fails when every DOF, and so
+    every SURE, is shifted as a DOF error of delta would shift it."""
+    from proxsure import verify
+
+    evaluate_set = verify.evaluate_set
+
+    def shifted(stack, op, step, Y, sigma=None, **kwargs):
+        ev = evaluate_set(stack, op, step, Y, sigma, **kwargs)
+        ev.dof = ev.dof + delta
+        ev.sure = ev.sure + 2 * sigma**2 * delta
+        return ev
+
+    monkeypatch.setattr(verify, "evaluate_set", shifted)
+    report = verify.verify_sure_unbiased()
+    assert not report.passed
+    assert report.max_violation > report.tolerance
+    stein = report.details["stein_part"]["mean"]
+    assert np.sign(stein) == np.sign(delta)
